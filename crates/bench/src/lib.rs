@@ -1,27 +1,10 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-//! Shared fixtures for the benchmark suite plus the `pas bench`
-//! regression harness.
-//!
-//! Each paper table/figure has a named bench target (see `benches/`):
-//!
-//! | paper artifact | bench |
-//! |----------------|-------|
-//! | Table 1, Table 2 | `tables::table_lookup` |
-//! | Figure 4 | `figures::fig4_energy_vs_load` |
-//! | Figure 5 | `figures::fig5_six_procs` |
-//! | Figure 6 | `figures::fig6_energy_vs_alpha` |
-//! | Ablation A1 (S_min) | `ablations::ablation_smin` |
-//! | Ablation A2 (levels) | `ablations::ablation_levels` |
-//! | Ablation A3 (overhead) | `ablations::ablation_overhead` |
-//! | Ablation A4 (processors) | `ablations::ablation_procs` |
-//!
-//! Benchmarks run reduced replication counts (the statistical quality of
-//! the full figures is the experiment binaries' job; the benches measure
-//! the cost of the machinery). The [`harness`] module is different in
-//! kind: it captures *numbers* (energy, events, ledger slices) for the
-//! golden workloads and diffs them against committed baselines — see
-//! `pas bench --check`.
+//! The `pas bench` regression harness: the [`harness`] module captures
+//! *numbers* (energy, events, ledger slices) for the golden workloads and
+//! diffs them against committed baselines — see `pas bench --check`.
+//! Timing of the paper's tables, figures and ablations lives in the
+//! repository benchmark (`perfbench/`).
 
 pub mod harness;
 
@@ -31,26 +14,3 @@ pub use harness::{
     OfflineBreakdown, OfflineSpanStat, SectionRecord, BASELINE_FILE, DEFAULT_TOLERANCE,
     GOLDEN_WORKLOADS,
 };
-
-use pas_core::Setup;
-use pas_experiments::runner::ExperimentConfig;
-
-/// A reduced experiment configuration for benching.
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig::quick(5)
-}
-
-/// The standard synthetic-app setup used by micro benches.
-///
-/// # Errors
-///
-/// Propagates graph lowering and setup feasibility failures as
-/// [`BenchError`] instead of panicking, so callers embedded in larger
-/// tools (the `pas` CLI) can surface them.
-pub fn synthetic_setup() -> Result<Setup, BenchError> {
-    let graph = workloads::synthetic_app()
-        .lower()
-        .map_err(|e| BenchError::Workload(format!("synthetic app: {e}")))?;
-    Setup::for_load(graph, dvfs_power::ProcessorModel::transmeta5400(), 2, 0.5)
-        .map_err(BenchError::from)
-}

@@ -5,7 +5,7 @@ use crate::args::{Args, Command, SchemeArg};
 use crate::source::{load_app, load_fault_plan, load_model};
 use andor_graph::{app_profile, to_dot, SectionGraph};
 use mp_sim::trace::{lane_stats, power_profile, render_gantt, GanttOptions};
-use mp_sim::ExecTimeModel;
+use mp_sim::{for_each_realization, run_batch_paired, BatchConfig, ExecTimeModel, RunScratch};
 use pas_core::{Scheme, Setup, SetupError};
 use pas_stats::{Histogram, Summary};
 use rand::rngs::StdRng;
@@ -464,13 +464,71 @@ fn run_one(args: &Args) -> Result<String, String> {
 }
 
 fn compare(args: &Args) -> Result<String, String> {
+    /// One run's numbers; `metrics` only under `--metrics`, for schemes.
+    struct Row {
+        energy: f64,
+        changes: u64,
+        missed: bool,
+        metrics: Option<RunMetrics>,
+    }
+    struct RunMetrics {
+        events: u64,
+        slack_ms: f64,
+        counter_mismatch: bool,
+    }
+    impl Row {
+        fn new(res: &mp_sim::RunOutcome, metrics: Option<RunMetrics>) -> Self {
+            Self {
+                energy: res.energy.total_energy(),
+                changes: res.energy.speed_changes(),
+                missed: res.missed_deadline,
+                metrics,
+            }
+        }
+    }
     let setup = build_setup(args)?;
     if let Some(batch) = args.batch {
         return compare_batch(args, &setup, batch);
     }
     let etm = ExecTimeModel::paper_defaults();
-    let mut rng = StdRng::seed_from_u64(args.seed);
+    let sim = setup.simulator(false);
     let n = Scheme::ALL.len() + 1;
+    // Every scheme, then the oracle, on each realization: row-major
+    // `reps × n`. `--metrics` adds per-run MetricsRegistry aggregation
+    // plus an engine counter cross-check at Monte-Carlo scale (every run
+    // must agree between the event-derived and meter speed-change counts).
+    let chunks = for_each_realization(
+        &sim,
+        &etm,
+        None,
+        &BatchConfig::new(args.reps, args.seed),
+        |len| {
+            let policies: Vec<_> = Scheme::ALL.iter().map(|s| setup.policy(*s)).collect();
+            ((policies, RunScratch::new()), Vec::with_capacity(len * n))
+        },
+        |(policies, scratch), rows, draw| {
+            for policy in policies.iter_mut() {
+                let mut reg = args.metrics.then(mp_sim::MetricsRegistry::new);
+                let observer = reg.as_mut().map(|r| r as &mut dyn mp_sim::Observer);
+                let res =
+                    sim.run_into(scratch, policy.as_mut(), draw.real, None, None, observer)?;
+                let metrics = reg.map(|reg| RunMetrics {
+                    events: pas_obs::EventKind::ALL
+                        .iter()
+                        .map(|k| reg.counter(&format!("events.{}", k.name())))
+                        .sum(),
+                    slack_ms: reg.slack_reclaimed_ms(),
+                    counter_mismatch: reg.speed_changes() != res.energy.speed_changes(),
+                });
+                rows.push(Row::new(&res, metrics));
+            }
+            let mut bound = setup.oracle(draw.real)?;
+            let res = sim.run_into(scratch, &mut bound, draw.real, None, None, None)?;
+            rows.push(Row::new(&res, None));
+            Ok(())
+        },
+    )
+    .map_err(|e| format!("simulation: {e}"))?;
     let mut energies: Vec<Summary> = vec![Summary::new(); n];
     let mut changes: Vec<Summary> = vec![Summary::new(); n];
     let mut misses = vec![0u64; n];
@@ -480,53 +538,20 @@ fn compare(args: &Args) -> Result<String, String> {
     let mut hists: Vec<Histogram> = (0..n)
         .map(|_| Histogram::new(0.0, e_max, 200).expect("valid range"))
         .collect();
-    // `--metrics`: per-run MetricsRegistry aggregation plus an engine
-    // counter cross-check at Monte-Carlo scale (every run must agree
-    // between the event-derived and meter speed-change counts).
-    let mut ev_runs: Vec<Summary> = vec![Summary::new(); Scheme::ALL.len()];
-    let mut slack_runs: Vec<Summary> = vec![Summary::new(); Scheme::ALL.len()];
+    let mut ev_runs: Vec<Summary> = vec![Summary::new(); n];
+    let mut slack_runs: Vec<Summary> = vec![Summary::new(); n];
     let mut counter_mismatches = 0u64;
-    // Plan, engine and policies are all offline artifacts — build each
-    // once, outside the realization loop (the engine resets policy state
-    // at every run start, so reuse is bit-identical to rebuilding).
-    let sim = setup.simulator(false);
-    let mut policies: Vec<_> = Scheme::ALL.iter().map(|s| setup.policy(*s)).collect();
-    for _ in 0..args.reps {
-        let real = setup.sample(&etm, &mut rng);
-        for (i, policy) in policies.iter_mut().enumerate() {
-            let policy = policy.as_mut();
-            let res = if args.metrics {
-                let mut reg = mp_sim::MetricsRegistry::new();
-                let res = sim
-                    .run_observed(policy, &real, None, None, Some(&mut reg))
-                    .map_err(|e| format!("simulation: {e}"))?;
-                let total: u64 = pas_obs::EventKind::ALL
-                    .iter()
-                    .map(|k| reg.counter(&format!("events.{}", k.name())))
-                    .sum();
-                ev_runs[i].add(total as f64);
-                slack_runs[i].add(reg.slack_reclaimed_ms());
-                if reg.speed_changes() != res.energy.speed_changes() {
-                    counter_mismatches += 1;
-                }
-                res
-            } else {
-                sim.run(policy, &real)
-                    .map_err(|e| format!("simulation: {e}"))?
-            };
-            energies[i].add(res.total_energy());
-            hists[i].add(res.total_energy());
-            changes[i].add(res.energy.speed_changes() as f64);
-            misses[i] += res.missed_deadline as u64;
+    for (k, row) in chunks.iter().flatten().enumerate() {
+        let i = k % n;
+        energies[i].add(row.energy);
+        hists[i].add(row.energy);
+        changes[i].add(row.changes as f64);
+        misses[i] += row.missed as u64;
+        if let Some(m) = &row.metrics {
+            ev_runs[i].add(m.events as f64);
+            slack_runs[i].add(m.slack_ms);
+            counter_mismatches += m.counter_mismatch as u64;
         }
-        let res = setup
-            .run_oracle(&real)
-            .map_err(|e| format!("simulation: {e}"))?;
-        let last = Scheme::ALL.len();
-        energies[last].add(res.total_energy());
-        hists[last].add(res.total_energy());
-        changes[last].add(res.energy.speed_changes() as f64);
-        misses[last] += res.missed_deadline as u64;
     }
     let npm = energies[0].mean();
     let mut out = String::new();
@@ -595,13 +620,13 @@ fn compare(args: &Args) -> Result<String, String> {
 
 /// `compare --metrics --batch N`: the batched Monte-Carlo engine over
 /// every scheme, reporting full distributions (quantiles and tails)
-/// instead of the sequential loop's means. Realization `i` is seeded with
-/// `realization_seed(--seed, i)` for *every* scheme, so the paired design
-/// of the paper's figures carries over to the distributions; the oracle
-/// is excluded (it needs a clairvoyant probe per realization and is a
-/// bound, not a scheme).
+/// instead of the sequential loop's means. Realization `i` is drawn once,
+/// from `realization_seed(--seed, i)`, and every scheme runs on it, so the
+/// paired design of the paper's figures carries over to the
+/// distributions; the oracle is excluded (it needs a clairvoyant probe
+/// per realization and is a bound, not a scheme).
 fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, String> {
-    use mp_sim::{run_batch, BatchConfig, BatchDistribution};
+    use mp_sim::BatchDistribution;
     let etm = ExecTimeModel::paper_defaults();
     let sim = setup.simulator(false);
     // Histogram geometry mirrors the sequential path's: NPM busy+idle
@@ -636,13 +661,19 @@ fn compare_batch(args: &Args, setup: &Setup, batch: usize) -> Result<String, Str
     let mut npm_mean = f64::NAN;
     let mut makespans: Vec<(String, BatchDistribution)> = Vec::new();
     let mut events_per_run = Summary::new();
-    for scheme in Scheme::ALL {
-        let bout = run_batch(&sim, &etm, None, || setup.policy(scheme), &cfg)
-            .map_err(|e| format!("simulation: {e}"))?;
+    let outs = run_batch_paired(
+        &sim,
+        &etm,
+        None,
+        || Scheme::ALL.iter().map(|s| setup.policy(*s)).collect(),
+        &cfg,
+    )
+    .map_err(|e| format!("simulation: {e}"))?;
+    for (scheme, bout) in Scheme::ALL.iter().zip(&outs) {
         if let Some(e) = bout.events_per_realization() {
             events_per_run.add(e);
         }
-        let dist = BatchDistribution::from_output(&bout, e_max, t_max, 200)
+        let dist = BatchDistribution::from_output(bout, e_max, t_max, 200)
             .ok_or_else(|| "degenerate histogram bounds".to_string())?;
         let q = |p: f64| dist.energy().quantile(p).unwrap_or(f64::NAN);
         if npm_mean.is_nan() {

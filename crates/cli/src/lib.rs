@@ -255,6 +255,36 @@ mod tests {
     }
 
     #[test]
+    fn compare_tables_share_their_draws() {
+        // Both `compare` paths run every scheme on realization `i` drawn
+        // from `realization_seed(--seed, i)`, so their mean columns agree.
+        let base = [
+            "compare",
+            "--app",
+            "synthetic",
+            "--procs",
+            "2",
+            "--load",
+            "0.5",
+            "--seed",
+            "3",
+        ];
+        let means = call(&[&base[..], &["--reps", "40"]].concat()).unwrap();
+        let batch = call(&[&base[..], &["--metrics", "--batch", "40"]].concat()).unwrap();
+        let mean_of = |out: &str, scheme: &str| -> Option<String> {
+            let line = out
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(scheme))?;
+            line.split_whitespace().nth(1).map(str::to_owned)
+        };
+        for scheme in ["NPM", "SPM", "GSS", "SS(1)", "SS(2)", "AS"] {
+            let mean = mean_of(&means, scheme);
+            assert!(mean.is_some(), "no {scheme} row: {means}");
+            assert_eq!(mean, mean_of(&batch, scheme), "{scheme}: {means}\n{batch}");
+        }
+    }
+
+    #[test]
     fn dot_emits_graphviz() {
         let out = call(&["dot", "--app", "synthetic"]).unwrap();
         assert!(out.starts_with("digraph"));

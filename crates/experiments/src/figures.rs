@@ -3,7 +3,9 @@
 use crate::runner::{evaluate, evaluate_with_faults, EvalResult, ExperimentConfig};
 use andor_graph::AndOrGraph;
 use dvfs_power::{Overheads, ProcessorModel};
-use mp_sim::{FaultPlan, SimError};
+use mp_sim::{
+    for_each_realization, run_batch_paired, BatchConfig, FaultPlan, RunScratch, SimError,
+};
 use pas_core::Setup;
 use pas_stats::Table;
 use rand::rngs::StdRng;
@@ -234,7 +236,6 @@ pub fn ablation_procs(platform: Platform, cfg: &ExperimentConfig) -> SweepOutput
 /// normalized to NPM *at the same ρ*.
 pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
     use pas_core::{AsPolicy, EnergyFloorPolicy, GssPolicy, Scheme};
-    use rand::Rng;
 
     let rhos: Vec<f64> = vec![0.0, 0.05, 0.1, 0.2, 0.3, 0.4];
     let app = workloads::synthetic_app_alpha(0.6)
@@ -248,39 +249,44 @@ pub fn ablation_leakage(platform: Platform, cfg: &ExperimentConfig) -> Table {
             .expect("feasible")
             .with_static_power(rho);
         let floor = setup.efficient_floor();
-        let mut totals = vec![0.0_f64; labels.len()];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.base_seed);
-        for _ in 0..cfg.replications {
-            let real = setup.sample(&cfg.etm, &mut rng);
-            let sim = setup.simulator(false);
-            let runs: Vec<mp_sim::RunResult> = {
-                let mut out = Vec::new();
-                for scheme in [Scheme::Npm, Scheme::Spm, Scheme::Gss, Scheme::As] {
-                    out.push(setup.run(scheme, &real).expect("run succeeds"));
+        let sim = setup.simulator(false);
+        // Per chunk: the energy of every run, row-major
+        // `replications × labels`.
+        let chunks = for_each_realization(
+            &sim,
+            &cfg.etm,
+            None,
+            &BatchConfig::new(cfg.replications, cfg.base_seed),
+            |len| {
+                let (plan, model, oh) = (&setup.plan, &setup.model, setup.overheads);
+                let mut policies: Vec<_> = [Scheme::Npm, Scheme::Spm, Scheme::Gss, Scheme::As]
+                    .into_iter()
+                    .map(|scheme| setup.policy(scheme))
+                    .collect();
+                let gss = GssPolicy::new(plan, model, oh);
+                policies.push(Box::new(EnergyFloorPolicy::new(gss, floor, model)));
+                let as_ = AsPolicy::new(plan, model, oh);
+                policies.push(Box::new(EnergyFloorPolicy::new(as_, floor, model)));
+                let energies = Vec::with_capacity(len * policies.len());
+                ((policies, RunScratch::new()), energies)
+            },
+            |(policies, scratch), energies, draw| {
+                for (policy, label) in policies.iter_mut().zip(labels) {
+                    let res =
+                        sim.run_into(scratch, policy.as_mut(), draw.real, None, None, None)?;
+                    assert!(!res.missed_deadline, "{label} missed at rho={rho}");
+                    energies.push(res.energy.total_energy());
                 }
-                let mut gss_floor = EnergyFloorPolicy::new(
-                    GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
-                    floor,
-                    &setup.model,
-                );
-                out.push(sim.run(&mut gss_floor, &real).expect("run succeeds"));
-                let mut as_floor = EnergyFloorPolicy::new(
-                    AsPolicy::new(&setup.plan, &setup.model, setup.overheads),
-                    floor,
-                    &setup.model,
-                );
-                out.push(sim.run(&mut as_floor, &real).expect("run succeeds"));
-                out
-            };
-            for (i, r) in runs.iter().enumerate() {
-                assert!(!r.missed_deadline, "{} missed at rho={rho}", labels[i]);
-                totals[i] += r.total_energy();
-            }
-            // Keep the RNG streams aligned regardless of future edits.
-            let _: f64 = rng.gen();
+                Ok(())
+            },
+        )
+        .expect("valid setup simulates");
+        let mut totals = vec![0.0_f64; labels.len()];
+        for (k, e) in chunks.iter().flatten().enumerate() {
+            totals[k % labels.len()] += e;
         }
-        for (i, t) in totals.iter().enumerate() {
-            series[i].push(t / totals[0]);
+        for (values, total) in series.iter_mut().zip(&totals) {
+            values.push(total / totals[0]);
         }
     }
     let mut t = Table::new(
@@ -392,21 +398,27 @@ pub fn energy_breakdown(
 }
 
 /// **Extension E2b** — which OR branch is expensive? Mean per-section
-/// energy per scheme at one operating point, attributed from the event
-/// stream by a [`mp_sim::SectionedLedger`]. The x-axis is the
-/// program-section id (chain order, `s0` = root); a section a
-/// realization never entered contributes 0 to its mean, so each series
-/// sums to that scheme's mean total energy.
+/// energy per scheme at one operating point, from the engine's
+/// per-section accumulators (see [`mp_sim::RunScratch::section_energy`]).
+/// The x-axis is the program-section id (chain order, `s0` = root); a
+/// section a realization never entered contributes 0 to its mean, so
+/// each series sums to that scheme's mean total energy.
 pub fn section_breakdown(
     platform: Platform,
     num_procs: usize,
     load: f64,
     cfg: &ExperimentConfig,
 ) -> Table {
-    use mp_sim::{SectionKey, SectionedLedger};
-
     let setup = Setup::for_load(atr_app(), platform.model(), num_procs, load).expect("feasible");
     let num_sections = setup.sections.len();
+    let outs = run_batch_paired(
+        &setup.simulator(false),
+        &cfg.etm,
+        None,
+        || cfg.schemes.iter().map(|&s| setup.policy(s)).collect(),
+        &BatchConfig::new(cfg.replications, cfg.base_seed),
+    )
+    .expect("valid setup simulates");
     let mut t = Table::new(
         format!(
             "Per-section energy — ATR, {} processors, load {}, {}",
@@ -417,30 +429,11 @@ pub fn section_breakdown(
         "section",
         (0..num_sections).map(|i| i as f64).collect(),
     );
-    for &scheme in &cfg.schemes {
+    for (scheme, out) in cfg.schemes.iter().zip(&outs) {
         let mut sums = vec![0.0_f64; num_sections];
-        for r in 0..cfg.replications {
-            let seed = cfg
-                .base_seed
-                .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let real = setup.sample(&cfg.etm, &mut rng);
-            let mut ledger = SectionedLedger::new();
-            let mut policy = setup.policy(scheme);
-            let res = setup
-                .simulator(false)
-                .run_observed(policy.as_mut(), &real, None, None, Some(&mut ledger))
-                .expect("valid setup simulates");
-            debug_assert!(ledger.verify(res.total_energy()).is_ok());
-            for slice in ledger.merged() {
-                let sid = match slice.key {
-                    SectionKey::Root => setup.sections.root(),
-                    SectionKey::Branch { or, branch } => setup
-                        .sections
-                        .branch_section(or, branch)
-                        .expect("stream keys map to sections"),
-                };
-                sums[sid.index()] += slice.ledger.total();
+        for i in 0..out.len() {
+            for (sum, e) in sums.iter_mut().zip(out.section_row(i)) {
+                *sum += e;
             }
         }
         t.push_series(
@@ -710,6 +703,24 @@ mod tests {
         }
         // NPM (first scheme) normalizes to total 1.
         assert!((total[0] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn section_series_sum_to_mean_total_energy() {
+        let cfg = tiny();
+        let t = section_breakdown(Platform::XScale, 2, 0.5, &cfg);
+        let setup = Setup::for_load(atr_app(), Platform::XScale.model(), 2, 0.5).expect("feasible");
+        let eval = evaluate(&setup, &cfg).expect("valid setup simulates");
+        for stats in &eval.stats {
+            let series = t.series(stats.scheme.name()).expect("scheme series");
+            let sum: f64 = series.values.iter().sum();
+            let mean = stats.energy.mean();
+            assert!(
+                (sum - mean).abs() <= 1e-9 * mean,
+                "{}: {sum} vs {mean}",
+                stats.scheme
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * [`runner`] — the Monte-Carlo harness: each data point is the mean of N
 //!   (default 1000) seeded runs; all schemes are evaluated on *identical*
-//!   realizations (paired design), and replications run in parallel with
-//!   rayon.
+//!   realizations (paired design), drawn and fanned out across cores by
+//!   the batch driver [`mp_sim::for_each_realization`].
 //! * [`figures`] — one function per paper table/figure plus the ablations
 //!   the paper lists as future work. Each returns [`pas_stats::Table`]s
 //!   ready for text/markdown/CSV rendering.

@@ -1,19 +1,17 @@
 //! The Monte-Carlo experiment harness.
 
-use mp_sim::{FaultPlan, FaultReport, SimError};
+use mp_sim::{for_each_realization, BatchConfig, FaultPlan, FaultReport, RunScratch, SimError};
 use pas_core::{Scheme, Setup};
 use pas_stats::Summary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// How an experiment point is evaluated.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     /// Monte-Carlo replications per point (the paper uses 1000).
     pub replications: usize,
-    /// Base seed; replication `r` uses a seed derived from it, so results
-    /// are exactly reproducible.
+    /// Base seed; replication `r` draws from
+    /// `realization_seed(base_seed, r)`, so results are exactly
+    /// reproducible.
     pub base_seed: u64,
     /// Schemes to evaluate. Must include [`Scheme::Npm`] if normalized
     /// energies are wanted.
@@ -130,9 +128,10 @@ impl EvalResult {
 }
 
 /// Evaluates every configured scheme on `cfg.replications` shared
-/// realizations of `setup`. Replications run in parallel; the result is
-/// independent of thread count because each replication derives its RNG
-/// from `base_seed` and the replication index alone.
+/// realizations of `setup`. Replication `r` is realization `r` of the
+/// batch driver ([`mp_sim::for_each_realization`]), seeded with
+/// `realization_seed(base_seed, r)`, so the result is independent of
+/// thread count and every scheme runs on the same draw.
 ///
 /// # Errors
 ///
@@ -158,7 +157,8 @@ pub fn evaluate_with_faults(
     cfg: &ExperimentConfig,
     faults: Option<&FaultPlan>,
 ) -> Result<EvalResult, SimError> {
-    struct RepSample {
+    /// One scheme's run on one replication.
+    struct RunRow {
         energy: f64,
         busy: f64,
         idle: f64,
@@ -171,24 +171,29 @@ pub fn evaluate_with_faults(
     if let Some(plan) = faults {
         plan.validate()?;
     }
-    let per_rep: Vec<(Vec<RepSample>, Option<f64>)> = (0..cfg.replications)
-        .into_par_iter()
-        .map(|r| -> Result<(Vec<RepSample>, Option<f64>), SimError> {
-            // SplitMix-style seed derivation keeps streams independent.
-            let seed = cfg
-                .base_seed
-                .wrapping_add((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let real = setup.sample(&cfg.etm, &mut rng);
-            let fault_set = faults.map(|p| p.realize(&setup.graph, r as u64));
-            let mut samples = Vec::with_capacity(cfg.schemes.len());
-            for &scheme in &cfg.schemes {
-                let res = match &fault_set {
-                    Some(fs) => setup.run_with_faults(scheme, &real, fs)?,
-                    None => setup.run(scheme, &real)?,
-                };
-                samples.push(RepSample {
-                    energy: res.total_energy(),
+    let sim = setup.simulator(false);
+    let n = cfg.schemes.len();
+    // Per chunk: the scheme runs, row-major `replications × schemes`, and
+    // the oracle energy of each replication.
+    let chunks = for_each_realization(
+        &sim,
+        &cfg.etm,
+        faults,
+        &BatchConfig::new(cfg.replications, cfg.base_seed),
+        |len| {
+            let policies: Vec<_> = cfg.schemes.iter().map(|&s| setup.policy(s)).collect();
+            let rows = Vec::with_capacity(len * n);
+            (
+                (policies, RunScratch::new()),
+                (rows, Vec::with_capacity(len)),
+            )
+        },
+        |(policies, scratch), (rows, oracle), draw| {
+            for policy in policies.iter_mut() {
+                let res =
+                    sim.run_into(scratch, policy.as_mut(), draw.real, None, draw.faults, None)?;
+                rows.push(RunRow {
+                    energy: res.energy.total_energy(),
                     busy: res.energy.busy_energy(),
                     idle: res.energy.idle_energy(),
                     transition: res.energy.transition_energy(),
@@ -198,16 +203,14 @@ pub fn evaluate_with_faults(
                     report: res.faults,
                 });
             }
-            let oracle = match cfg.include_oracle {
-                true => Some(setup.run_oracle(&real)?.total_energy()),
-                false => None,
-            };
-            Ok((samples, oracle))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-
+            if cfg.include_oracle {
+                let mut bound = setup.oracle(draw.real)?;
+                let res = sim.run_into(scratch, &mut bound, draw.real, None, None, None)?;
+                oracle.push(res.energy.total_energy());
+            }
+            Ok(())
+        },
+    )?;
     let stats = cfg
         .schemes
         .iter()
@@ -222,8 +225,8 @@ pub fn evaluate_with_faults(
             let mut miss_margin = Summary::new();
             let mut fault_report = FaultReport::default();
             let mut recovery_energy = Summary::new();
-            for (rep, _) in &per_rep {
-                let s = &rep[i];
+            let rows = chunks.iter().flat_map(|(rows, _)| rows);
+            for s in rows.skip(i).step_by(n) {
                 energy.add(s.energy);
                 busy_energy.add(s.busy);
                 idle_energy.add(s.idle);
@@ -250,9 +253,13 @@ pub fn evaluate_with_faults(
             }
         })
         .collect();
-    let oracle_energy = cfg
-        .include_oracle
-        .then(|| per_rep.iter().filter_map(|(_, o)| *o).collect::<Summary>());
+    let oracle_energy = cfg.include_oracle.then(|| {
+        chunks
+            .iter()
+            .flat_map(|(_, oracle)| oracle)
+            .copied()
+            .collect::<Summary>()
+    });
     Ok(EvalResult {
         stats,
         oracle_energy,
@@ -328,6 +335,32 @@ mod tests {
         assert_eq!(npm.speed_changes.mean(), 0.0);
         let gss = res.of(Scheme::Gss).expect("GSS configured");
         assert!(gss.speed_changes.mean() > 0.0);
+    }
+
+    #[test]
+    fn evaluate_is_a_fold_over_run_batch() {
+        let s = setup();
+        let mut cfg = ExperimentConfig::quick(300); // more than one chunk
+        cfg.base_seed = 0xE7A1;
+        let plan = FaultPlan::overruns(0.2, 1.5, 5);
+        for faults in [None, Some(&plan)] {
+            let res = evaluate_with_faults(&s, &cfg, faults).expect("evaluation runs");
+            let sim = s.simulator(false);
+            let batch_cfg = BatchConfig::new(cfg.replications, cfg.base_seed);
+            for (stats, &scheme) in res.stats.iter().zip(&cfg.schemes) {
+                let out =
+                    mp_sim::run_batch(&sim, &cfg.etm, faults, || s.policy(scheme), &batch_cfg)
+                        .expect("batch runs");
+                let energy: Summary = out.energy.iter().copied().collect();
+                let misses = out.missed.iter().filter(|m| **m).count() as u64;
+                assert_eq!(
+                    stats.energy.mean().to_bits(),
+                    energy.mean().to_bits(),
+                    "{scheme}"
+                );
+                assert_eq!(stats.deadline_misses, misses, "{scheme}");
+            }
+        }
     }
 
     #[test]

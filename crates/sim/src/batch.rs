@@ -3,6 +3,12 @@
 //! reused mutable state and the vendored rayon fanning chunks across
 //! cores.
 //!
+//! [`for_each_realization`] is the workspace's only Monte-Carlo loop:
+//! every experiment, `pas compare` and the `montecarlo` request draw
+//! realization `i` through it, and run all their schemes on that one
+//! draw. [`run_batch`] and [`run_batch_paired`] are its packed-output
+//! forms.
+//!
 //! The determinism contract (written down in `docs/simulator.md`) is the
 //! load-bearing property here: realization `i` of a batch is executed
 //! through exactly the same [`Simulator::run_into`] code path as a
@@ -19,7 +25,7 @@
 
 use crate::engine::{RunResult, RunScratch, Simulator};
 use crate::error::SimError;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultSet};
 use crate::policy::Policy;
 use crate::realization::{ExecTimeModel, Realization};
 use pas_stats::{ci95_half_width, Histogram, Summary};
@@ -68,7 +74,7 @@ pub struct BatchConfig {
     /// logical batch across requests without changing any draw).
     pub start_index: u64,
     /// Realizations per work unit handed to a rayon worker. Each chunk
-    /// reuses one policy instance, one [`RunScratch`] and one
+    /// reuses one instance of each policy, one [`RunScratch`] and one
     /// [`Realization`] buffer across its whole range.
     pub chunk: usize,
     /// Also materialize the full per-realization [`RunResult`]s
@@ -77,9 +83,10 @@ pub struct BatchConfig {
     /// sequential engine field by field.
     pub keep_results: bool,
     /// Wire an event-counting observer to every `observe_stride`-th
-    /// realization (0 disables sampling). Emission is purely additive, so
-    /// sampled and unsampled realizations produce bit-identical numbers;
-    /// the sample feeds [`BatchOutput::events_per_realization`].
+    /// realization, for every policy run on it (0 disables sampling).
+    /// Emission is purely additive, so sampled and unsampled realizations
+    /// produce bit-identical numbers; the sample feeds
+    /// [`BatchOutput::events_per_realization`].
     pub observe_stride: usize,
 }
 
@@ -99,8 +106,9 @@ impl BatchConfig {
     }
 }
 
-/// The structure-of-arrays output of [`run_batch`]: column `i` of every
-/// vector belongs to realization `start_index + i`.
+/// The structure-of-arrays output of one policy in [`run_batch`] or
+/// [`run_batch_paired`]: column `i` of every vector belongs to
+/// realization `start_index + i`.
 #[derive(Debug)]
 pub struct BatchOutput {
     /// Number of program sections (the row width of
@@ -150,30 +158,153 @@ impl BatchOutput {
     pub fn events_per_realization(&self) -> Option<f64> {
         (self.runs_sampled > 0).then(|| self.events_sampled as f64 / self.runs_sampled as f64)
     }
+
+    fn with_capacity(n_sections: usize, len: usize, keep_results: bool) -> Self {
+        Self {
+            n_sections,
+            finish_time: Vec::with_capacity(len),
+            missed: Vec::with_capacity(len),
+            energy: Vec::with_capacity(len),
+            speed_changes: Vec::with_capacity(len),
+            section_energy: Vec::with_capacity(len * n_sections),
+            events_sampled: 0,
+            runs_sampled: 0,
+            results: keep_results.then(|| Vec::with_capacity(len)),
+        }
+    }
+
+    /// Runs `policy` on `draw` through [`Simulator::run_into`] and appends
+    /// the outcome as the next column. An observability-sampled draw gets
+    /// an event counter, which changes no number.
+    fn record(
+        &mut self,
+        sim: &Simulator<'_>,
+        scratch: &mut RunScratch,
+        policy: &mut dyn Policy,
+        draw: &Draw<'_>,
+    ) -> Result<(), SimError> {
+        let mut counter = EventCounter::default();
+        let observer: Option<&mut dyn pas_obs::Observer> = match draw.observed {
+            true => Some(&mut counter),
+            false => None,
+        };
+        let outcome = sim.run_into(scratch, policy, draw.real, None, draw.faults, observer)?;
+        if draw.observed {
+            self.events_sampled += counter.count;
+            self.runs_sampled += 1;
+        }
+        self.finish_time.push(outcome.finish_time);
+        self.missed.push(outcome.missed_deadline);
+        self.energy.push(outcome.energy.total_energy());
+        self.speed_changes.push(outcome.energy.speed_changes());
+        self.section_energy
+            .extend_from_slice(scratch.section_energy());
+        if let Some(results) = self.results.as_mut() {
+            results.push(RunResult {
+                finish_time: outcome.finish_time,
+                deadline: sim.config().deadline,
+                missed_deadline: outcome.missed_deadline,
+                status: outcome.status,
+                faults: outcome.faults,
+                energy: outcome.energy,
+                per_proc: scratch.meters().to_vec(),
+                trace: outcome.trace,
+                final_points: scratch.final_points().to_vec(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends the columns of the next chunk.
+    fn append(&mut self, mut later: Self) {
+        self.finish_time.append(&mut later.finish_time);
+        self.missed.append(&mut later.missed);
+        self.energy.append(&mut later.energy);
+        self.speed_changes.append(&mut later.speed_changes);
+        self.section_energy.append(&mut later.section_energy);
+        self.events_sampled += later.events_sampled;
+        self.runs_sampled += later.runs_sampled;
+        if let (Some(results), Some(mut more)) = (self.results.as_mut(), later.results) {
+            results.append(&mut more);
+        }
+    }
 }
 
-/// One worker's contiguous slice of the batch; concatenated in chunk
-/// order (rayon's collect preserves it) to form the [`BatchOutput`].
-#[derive(Debug, Default)]
-struct ChunkOut {
-    finish_time: Vec<f64>,
-    missed: Vec<bool>,
-    energy: Vec<f64>,
-    speed_changes: Vec<u64>,
-    section_energy: Vec<f64>,
-    events_sampled: u64,
-    runs_sampled: u64,
-    results: Vec<RunResult>,
+/// One realization as the driver hands it to a loop body: drawn once and
+/// shared by every policy the body runs on it, which is the paired design
+/// behind the paper's NPM-normalized figures.
+#[derive(Debug)]
+pub struct Draw<'a> {
+    /// The realization of global index `start_index + i`, drawn from
+    /// [`realization_seed`]`(base_seed, start_index + i)`.
+    pub real: &'a Realization,
+    /// The fault set [`FaultPlan::realize`] gives the same global index,
+    /// when the batch has a fault plan.
+    pub faults: Option<&'a FaultSet>,
+    /// True when the global index falls on the
+    /// [`BatchConfig::observe_stride`] sample.
+    pub observed: bool,
+}
+
+/// The workspace's one Monte-Carlo loop: seeds, draws and fans out
+/// realizations `start_index .. start_index + realizations` of `cfg`.
+///
+/// The range is cut into chunks of `cfg.chunk` realizations run on rayon
+/// workers. `init(len)` builds one chunk's worker state (policies, a
+/// [`RunScratch`]) and its output, sized for `len` realizations; the
+/// chunk then reuses one [`Realization`] buffer across its range
+/// ([`Realization::sample_into`]) and calls `body` once per [`Draw`].
+/// The chunk outputs come back in realization-index order, so folding
+/// them front to back is a fold in index order whatever the thread count.
+pub fn for_each_realization<W, A, I, B>(
+    sim: &Simulator<'_>,
+    etm: &ExecTimeModel,
+    faults: Option<&FaultPlan>,
+    cfg: &BatchConfig,
+    init: I,
+    body: B,
+) -> Result<Vec<A>, SimError>
+where
+    A: Send,
+    I: Fn(usize) -> (W, A) + Sync,
+    B: Fn(&mut W, &mut A, &Draw<'_>) -> Result<(), SimError> + Sync,
+{
+    let (g, sections) = (sim.graph(), sim.sections());
+    let chunk = cfg.chunk.max(1);
+    (0..cfg.realizations.div_ceil(chunk))
+        .into_par_iter()
+        .map(|c| {
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(cfg.realizations);
+            let (mut worker, mut out) = init(hi - lo);
+            let mut real = Realization::empty();
+            for i in lo..hi {
+                let index = cfg.start_index + i as u64;
+                let mut rng = StdRng::seed_from_u64(realization_seed(cfg.base_seed, index));
+                real.sample_into(g, sections, etm, &mut rng);
+                let fs = faults.map(|plan| plan.realize(g, index));
+                let draw = Draw {
+                    real: &real,
+                    faults: fs.as_ref(),
+                    observed: cfg.observe_stride > 0
+                        && index.is_multiple_of(cfg.observe_stride as u64),
+                };
+                body(&mut worker, &mut out, &draw)?;
+            }
+            Ok(out)
+        })
+        .collect()
 }
 
 /// Executes `cfg.realizations` seeded realizations of one plan, batched.
 ///
-/// `factory` builds one policy instance per chunk; the engine calls
-/// `Policy::begin_run` at every run start, so reusing one instance across
-/// a chunk is bit-identical to rebuilding it per realization (pinned by
-/// the `batch` property tests). `faults`, when given, realizes the fault
-/// set for global index `start_index + i` — identical to what a
-/// sequential loop over `FaultPlan::realize` would inject.
+/// The one-policy case of [`run_batch_paired`]: `factory` builds one
+/// policy instance per chunk; the engine calls `Policy::begin_run` at
+/// every run start, so reusing one instance across a chunk is
+/// bit-identical to rebuilding it per realization (pinned by the `batch`
+/// property tests). `faults`, when given, realizes the fault set for
+/// global index `start_index + i` — identical to what a sequential loop
+/// over `FaultPlan::realize` would inject.
 pub fn run_batch<'s, F>(
     sim: &Simulator<'_>,
     etm: &ExecTimeModel,
@@ -184,104 +315,55 @@ pub fn run_batch<'s, F>(
 where
     F: Fn() -> Box<dyn Policy + 's> + Sync,
 {
-    let g = sim.graph();
-    let sections = sim.sections();
-    let n_sections = sections.len();
-    let chunk = cfg.chunk.max(1);
-    let n_chunks = cfg.realizations.div_ceil(chunk);
+    let mut outs = run_batch_paired(sim, etm, faults, || vec![factory()], cfg)?;
+    Ok(outs.pop().expect("one policy yields one output"))
+}
 
-    let chunks: Vec<Result<ChunkOut, SimError>> = (0..n_chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(cfg.realizations);
-            let mut policy = factory();
-            let mut scratch = RunScratch::new();
-            let mut real: Option<Realization> = None;
-            let mut out = ChunkOut {
-                finish_time: Vec::with_capacity(hi - lo),
-                missed: Vec::with_capacity(hi - lo),
-                energy: Vec::with_capacity(hi - lo),
-                speed_changes: Vec::with_capacity(hi - lo),
-                section_energy: Vec::with_capacity((hi - lo) * n_sections),
-                ..ChunkOut::default()
-            };
-            for i in lo..hi {
-                let global = cfg.start_index + i as u64;
-                let mut rng = StdRng::seed_from_u64(realization_seed(cfg.base_seed, global));
-                match real.as_mut() {
-                    Some(r) => r.sample_into(g, sections, etm, &mut rng),
-                    None => real = Some(Realization::sample(g, sections, etm, &mut rng)),
-                }
-                let r = real.as_ref().expect("realization sampled above");
-                let fs = faults.map(|plan| plan.realize(g, global));
-                let sampled =
-                    cfg.observe_stride > 0 && global.is_multiple_of(cfg.observe_stride as u64);
-                let outcome = if sampled {
-                    let mut counter = EventCounter::default();
-                    let o = sim.run_into(
-                        &mut scratch,
-                        policy.as_mut(),
-                        r,
-                        None,
-                        fs.as_ref(),
-                        Some(&mut counter),
-                    )?;
-                    out.events_sampled += counter.count;
-                    out.runs_sampled += 1;
-                    o
-                } else {
-                    sim.run_into(&mut scratch, policy.as_mut(), r, None, fs.as_ref(), None)?
-                };
-                out.finish_time.push(outcome.finish_time);
-                out.missed.push(outcome.missed_deadline);
-                out.energy.push(outcome.energy.total_energy());
-                out.speed_changes.push(outcome.energy.speed_changes());
-                out.section_energy
-                    .extend_from_slice(scratch.section_energy());
-                if cfg.keep_results {
-                    out.results.push(RunResult {
-                        finish_time: outcome.finish_time,
-                        deadline: sim.config().deadline,
-                        missed_deadline: outcome.missed_deadline,
-                        status: outcome.status,
-                        faults: outcome.faults,
-                        energy: outcome.energy,
-                        per_proc: scratch.meters().to_vec(),
-                        trace: outcome.trace,
-                        final_points: scratch.final_points().to_vec(),
-                    });
-                }
-            }
-            Ok(out)
-        })
-        .collect();
-
-    let mut out = BatchOutput {
-        n_sections,
-        finish_time: Vec::with_capacity(cfg.realizations),
-        missed: Vec::with_capacity(cfg.realizations),
-        energy: Vec::with_capacity(cfg.realizations),
-        speed_changes: Vec::with_capacity(cfg.realizations),
-        section_energy: Vec::with_capacity(cfg.realizations * n_sections),
-        events_sampled: 0,
-        runs_sampled: 0,
-        results: cfg.keep_results.then(Vec::new),
+/// Runs every policy `factory` builds on each realization of the batch,
+/// drawing each realization once, and returns one [`BatchOutput`] per
+/// policy in factory order. Column `k` is bit-identical to a one-policy
+/// [`run_batch`] of policy `k` with the same `cfg`.
+pub fn run_batch_paired<'s, F>(
+    sim: &Simulator<'_>,
+    etm: &ExecTimeModel,
+    faults: Option<&FaultPlan>,
+    factory: F,
+    cfg: &BatchConfig,
+) -> Result<Vec<BatchOutput>, SimError>
+where
+    F: Fn() -> Vec<Box<dyn Policy + 's>> + Sync,
+{
+    let n_sections = sim.sections().len();
+    let empty = |n_policies: usize, len: usize| -> Vec<BatchOutput> {
+        (0..n_policies)
+            .map(|_| BatchOutput::with_capacity(n_sections, len, cfg.keep_results))
+            .collect()
     };
+    let chunks = for_each_realization(
+        sim,
+        etm,
+        faults,
+        cfg,
+        |len| {
+            let policies = factory();
+            let outs = empty(policies.len(), len);
+            ((policies, RunScratch::new()), outs)
+        },
+        |(policies, scratch), outs, draw| {
+            for (policy, out) in policies.iter_mut().zip(outs.iter_mut()) {
+                out.record(sim, scratch, policy.as_mut(), draw)?;
+            }
+            Ok(())
+        },
+    )?;
+    let n_policies = chunks.first().map_or_else(|| factory().len(), Vec::len);
+    let mut merged = empty(n_policies, cfg.realizations);
     for chunk in chunks {
-        let mut chunk = chunk?;
-        out.finish_time.append(&mut chunk.finish_time);
-        out.missed.append(&mut chunk.missed);
-        out.energy.append(&mut chunk.energy);
-        out.speed_changes.append(&mut chunk.speed_changes);
-        out.section_energy.append(&mut chunk.section_energy);
-        out.events_sampled += chunk.events_sampled;
-        out.runs_sampled += chunk.runs_sampled;
-        if let Some(results) = out.results.as_mut() {
-            results.append(&mut chunk.results);
+        for (out, later) in merged.iter_mut().zip(chunk) {
+            out.append(later);
         }
     }
-    Ok(out)
+    Ok(merged)
 }
 
 /// One metric's distribution: a fixed-geometry [`Histogram`] for
@@ -306,9 +388,13 @@ impl MetricDistribution {
         self.summary.add(x);
     }
 
-    /// Approximate quantile from the histogram (`None` while empty).
+    /// Approximate quantile from the histogram (`None` while empty),
+    /// clamped to the exact extremes: interpolating inside a bin must not
+    /// report a value no realization reached.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.hist.quantile(q)
+        self.hist
+            .quantile(q)
+            .map(|x| x.clamp(self.summary.min(), self.summary.max()))
     }
 
     /// Exact maximum observed (not histogram-quantized).
@@ -647,5 +733,19 @@ mod tests {
         );
         assert!(dist.energy().quantile(0.5).expect("nonempty") <= dist.energy().max() + 1e-9);
         assert!(dist.miss_ci95() >= 0.0);
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_observed_extremes() {
+        // One observation mid-bin: interpolating across the bin would
+        // report p99 ≈ 59.9 and p0 = 50, neither of which was observed.
+        let mut dist = MetricDistribution::new(100.0, 10).expect("valid geometry");
+        dist.add(51.0);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(dist.quantile(q), Some(51.0), "q = {q}");
+        }
+        dist.add(58.0);
+        let p99 = dist.quantile(0.99).expect("nonempty");
+        assert!((51.0..=58.0).contains(&p99), "p99 = {p99}");
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! Determinism: a run is a pure function of the *realization* (OR choices +
 //! actual execution times, drawn once per Monte-Carlo iteration by
-//! [`Realization::sample`]) and the policy. Comparing schemes on the same
+//! [`for_each_realization`]) and the policy. Comparing schemes on the same
 //! realization gives the paired design the paper's figures rely on.
 
 pub mod batch;
@@ -39,7 +39,8 @@ pub mod stream;
 pub mod trace;
 
 pub use batch::{
-    realization_seed, run_batch, BatchConfig, BatchDistribution, BatchOutput, MetricDistribution,
+    for_each_realization, realization_seed, run_batch, run_batch_paired, BatchConfig,
+    BatchDistribution, BatchOutput, Draw, MetricDistribution,
 };
 pub use engine::{
     DispatchOrder, RunOutcome, RunResult, RunScratch, SimConfig, Simulator, TraceEntry,

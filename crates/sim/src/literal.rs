@@ -14,10 +14,10 @@
 //!   and enqueueing the selected branch;
 //!
 //! driven by an explicit event queue. It exists for *differential
-//! testing*: `tests/differential.rs` checks that this agent-level
-//! simulation and the fast engine produce identical schedules, which
-//! validates the engine's algebraic shortcuts against the paper's own
-//! formulation. It is O(n log n) with much larger constants — use the fast
+//! testing*: `crates/sim/tests/differential.rs` checks that this
+//! agent-level simulation and the fast engine produce identical
+//! schedules, which validates the engine's algebraic shortcuts against
+//! the paper's own formulation. It is O(n log n) with much larger constants — use the fast
 //! engine for experiments.
 
 // Same invariant as the fast engine: per-node vectors (`UP` counters,

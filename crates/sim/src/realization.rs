@@ -114,28 +114,13 @@ impl Realization {
         model: &ExecTimeModel,
         rng: &mut R,
     ) -> Self {
-        let scenario = sections.sample_scenario(g, rng);
-        let actual = g
-            .nodes()
-            .iter()
-            .map(|n| {
-                if n.kind.is_computation() {
-                    model.sample(n.kind.wcet(), n.kind.acet(), rng)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        Self { scenario, actual }
+        let mut real = Self::empty();
+        real.sample_into(g, sections, model, rng);
+        real
     }
 
-    /// Re-draws this realization in place, reusing the `actual` buffer.
-    ///
-    /// Makes exactly the same RNG calls in exactly the same order as
-    /// [`Realization::sample`], so for a given rng state the two produce
-    /// bit-identical draws — the batch engine (see [`crate::batch`]) leans
-    /// on this to keep per-worker sampling allocation-free without
-    /// breaking the determinism contract.
+    /// Re-draws this realization in place, reusing the `actual` buffer
+    /// (the batch driver in [`crate::batch`] keeps one per worker).
     pub fn sample_into<R: Rng + ?Sized>(
         &mut self,
         g: &AndOrGraph,
@@ -152,6 +137,16 @@ impl Realization {
                 0.0
             }
         }));
+    }
+
+    /// A buffer with nothing drawn yet, for [`Realization::sample_into`].
+    pub(crate) fn empty() -> Self {
+        Self {
+            scenario: Scenario {
+                choices: Vec::new(),
+            },
+            actual: Vec::new(),
+        }
     }
 
     /// A worst-case realization: a caller-chosen scenario with every task

@@ -10,7 +10,7 @@
 
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::ExecTimeModel;
+use pas_andor::sim::{run_batch_paired, BatchConfig, ExecTimeModel};
 use pas_andor::workloads::AtrParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,27 +40,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for procs in [1, 2, 4, 6] {
         // Deadline chosen for 60% load at each processor count.
         let setup = Setup::for_load(graph.clone(), ProcessorModel::xscale(), procs, 0.6)?;
-        let mut sim_rng = StdRng::seed_from_u64(99);
         const RUNS: usize = 300;
-        let mut energy = [0.0_f64; 3];
-        let mut changes = [0.0_f64; 3];
         let schemes = [Scheme::Npm, Scheme::Gss, Scheme::As];
-        for _ in 0..RUNS {
-            let real = setup.sample(&etm, &mut sim_rng);
-            for (i, s) in schemes.iter().enumerate() {
-                let res = setup.run(*s, &real)?;
-                assert!(!res.missed_deadline);
-                energy[i] += res.total_energy();
-                changes[i] += res.energy.speed_changes() as f64;
-            }
-        }
-        for (i, s) in schemes.iter().enumerate() {
+        let outs = run_batch_paired(
+            &setup.simulator(false),
+            &etm,
+            None,
+            || schemes.iter().map(|s| setup.policy(*s)).collect(),
+            &BatchConfig::new(RUNS, 99),
+        )?;
+        let npm: f64 = outs[0].energy.iter().sum();
+        for (s, out) in schemes.iter().zip(&outs) {
+            assert!(!out.missed.contains(&true));
+            let changes: u64 = out.speed_changes.iter().sum();
             println!(
                 "{:>5}  {:<6}  {:>10.4}  {:>16.2}",
                 procs,
                 s.name(),
-                energy[i] / energy[0],
-                changes[i] / RUNS as f64
+                out.energy.iter().sum::<f64>() / npm,
+                changes as f64 / RUNS as f64
             );
         }
         println!();

@@ -12,7 +12,9 @@
 use pas_andor::core::{GssPolicy, Scheme, Setup};
 use pas_andor::graph::NodeId;
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::{DispatchCtx, ExecTimeModel, Policy, SpeedDecision};
+use pas_andor::sim::{
+    run_batch_paired, BatchConfig, DispatchCtx, ExecTimeModel, Policy, SpeedDecision,
+};
 use pas_andor::workloads::synthetic_app;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,28 +51,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = synthetic_app().lower()?;
     let setup = Setup::for_load(graph, ProcessorModel::xscale(), 2, 0.6)?;
 
-    let mut custom = RaceToSleep {
-        guarantee: GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
-        model: &setup.model,
-        rng: StdRng::seed_from_u64(0),
-    };
-
-    let etm = ExecTimeModel::paper_defaults();
-    let mut rng = StdRng::seed_from_u64(123);
-    let sim = setup.simulator(false);
-    let (mut e_custom, mut e_gss, mut e_npm) = (0.0, 0.0, 0.0);
-    const RUNS: usize = 500;
-    for _ in 0..RUNS {
-        let real = setup.sample(&etm, &mut rng);
-        let res = sim.run(&mut custom, &real)?;
-        assert!(
-            !res.missed_deadline,
-            "the GSS floor must keep any custom policy deadline-safe"
-        );
-        e_custom += res.total_energy();
-        e_gss += setup.run(Scheme::Gss, &real)?.total_energy();
-        e_npm += setup.run(Scheme::Npm, &real)?.total_energy();
-    }
+    // The custom policy and two built-in schemes, on the same 500 draws.
+    let outs = run_batch_paired(
+        &setup.simulator(false),
+        &ExecTimeModel::paper_defaults(),
+        None,
+        || {
+            let custom = RaceToSleep {
+                guarantee: GssPolicy::new(&setup.plan, &setup.model, setup.overheads),
+                model: &setup.model,
+                rng: StdRng::seed_from_u64(0),
+            };
+            vec![
+                Box::new(custom),
+                setup.policy(Scheme::Gss),
+                setup.policy(Scheme::Npm),
+            ]
+        },
+        &BatchConfig::new(500, 123),
+    )?;
+    assert!(
+        !outs[0].missed.contains(&true),
+        "the GSS floor must keep any custom policy deadline-safe"
+    );
+    let total = |k: usize| -> f64 { outs[k].energy.iter().sum() };
+    let (e_custom, e_gss, e_npm) = (total(0), total(1), total(2));
 
     println!("policy          normalized energy");
     println!("NPM             1.0000");

@@ -18,7 +18,7 @@
 
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::ExecTimeModel;
+use pas_andor::sim::{for_each_realization, BatchConfig, ExecTimeModel, RunScratch};
 use pas_andor::workloads::AtrParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,6 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(0xA72);
     let app = AtrParams::default().build_jittered(&mut rng)?.lower()?;
     const RUNS: usize = 400;
+    const SCHEMES: [Scheme; 4] = [Scheme::Gss, Scheme::As, Scheme::Spm, Scheme::Npm];
 
     for model in [ProcessorModel::transmeta5400(), ProcessorModel::xscale()] {
         println!("== {} ==", model.name());
@@ -36,25 +37,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         for load in [0.3, 0.5, 0.7, 0.9] {
             let setup = Setup::for_load(app.clone(), model.clone(), 2, load)?;
-            let mut rng = StdRng::seed_from_u64(99);
-            let etm = ExecTimeModel::paper_defaults();
-            let (mut oracle, mut gss, mut asp, mut spm, mut npm) = (0.0, 0.0, 0.0, 0.0, 0.0);
-            for _ in 0..RUNS {
-                let real = setup.sample(&etm, &mut rng);
-                oracle += setup.run_oracle(&real)?.total_energy();
-                gss += setup.run(Scheme::Gss, &real)?.total_energy();
-                asp += setup.run(Scheme::As, &real)?.total_energy();
-                spm += setup.run(Scheme::Spm, &real)?.total_energy();
-                npm += setup.run(Scheme::Npm, &real)?.total_energy();
+            let sim = setup.simulator(false);
+            // Per realization: the oracle (built for that draw), then the
+            // four schemes, all on the one draw.
+            let chunks = for_each_realization(
+                &sim,
+                &ExecTimeModel::paper_defaults(),
+                None,
+                &BatchConfig::new(RUNS, 99),
+                |_| {
+                    let policies: Vec<_> = SCHEMES.iter().map(|s| setup.policy(*s)).collect();
+                    ((policies, RunScratch::new()), [0.0_f64; 5])
+                },
+                |(policies, scratch), totals, draw| {
+                    let mut oracle = setup.oracle(draw.real)?;
+                    let res = sim.run_into(scratch, &mut oracle, draw.real, None, None, None)?;
+                    totals[0] += res.energy.total_energy();
+                    for (policy, total) in policies.iter_mut().zip(&mut totals[1..]) {
+                        let res =
+                            sim.run_into(scratch, policy.as_mut(), draw.real, None, None, None)?;
+                        *total += res.energy.total_energy();
+                    }
+                    Ok(())
+                },
+            )?;
+            let mut totals = [0.0_f64; 5];
+            for chunk in &chunks {
+                for (total, x) in totals.iter_mut().zip(chunk) {
+                    *total += x;
+                }
             }
-            println!(
-                "{:<6} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-                load,
-                gss / oracle,
-                asp / oracle,
-                spm / oracle,
-                npm / oracle
-            );
+            print!("{load:<6}");
+            for total in &totals[1..] {
+                print!(" {:>8.3}", total / totals[0]);
+            }
+            println!();
         }
         println!();
     }

@@ -14,7 +14,7 @@
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::graph::Segment;
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::ExecTimeModel;
+use pas_andor::sim::{run_batch_paired, BatchConfig, ExecTimeModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -95,31 +95,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("== 5. The evaluation quantities (paper §5) ==\n");
-    let mut rng = StdRng::seed_from_u64(42);
-    let etm = ExecTimeModel::paper_defaults();
-    let mut energy = vec![0.0_f64; Scheme::ALL.len()];
-    let mut changes = vec![0.0_f64; Scheme::ALL.len()];
     const RUNS: usize = 1000;
-    for _ in 0..RUNS {
-        let real = setup.sample(&etm, &mut rng);
-        for (i, s) in Scheme::ALL.iter().enumerate() {
-            let res = setup.run(*s, &real)?;
-            assert!(!res.missed_deadline, "Theorem 1 violated?!");
-            energy[i] += res.total_energy();
-            changes[i] += res.energy.speed_changes() as f64;
-        }
-    }
+    let outs = run_batch_paired(
+        &setup.simulator(false),
+        &ExecTimeModel::paper_defaults(),
+        None,
+        || Scheme::ALL.iter().map(|s| setup.policy(*s)).collect(),
+        &BatchConfig::new(RUNS, 42),
+    )?;
     println!("{RUNS} runs, paired realizations (the paper's methodology):");
     println!(
         "{:<7} {:>12} {:>14}",
         "scheme", "norm.energy", "changes/run"
     );
-    for (i, s) in Scheme::ALL.iter().enumerate() {
+    let npm: f64 = outs[0].energy.iter().sum();
+    for (s, out) in Scheme::ALL.iter().zip(&outs) {
+        assert!(!out.missed.contains(&true), "Theorem 1 violated?!");
+        let changes: u64 = out.speed_changes.iter().sum();
         println!(
             "{:<7} {:>12.4} {:>14.2}",
             s.name(),
-            energy[i] / energy[0],
-            changes[i] / RUNS as f64
+            out.energy.iter().sum::<f64>() / npm,
+            changes as f64 / RUNS as f64
         );
     }
     println!("\nEvery run met its deadline — Theorem 1 in action.");

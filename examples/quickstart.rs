@@ -7,9 +7,7 @@
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::graph::Segment;
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::ExecTimeModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pas_andor::sim::{run_batch_paired, BatchConfig, ExecTimeModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The application: a preprocessing task, a parallel pair, then a
@@ -41,23 +39,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Simulate 1000 frames; each frame draws OR decisions and actual
     // execution times, then every scheme runs on the identical draw.
-    let mut rng = StdRng::seed_from_u64(2002);
-    let etm = ExecTimeModel::paper_defaults();
-    let mut totals = vec![0.0_f64; Scheme::ALL.len()];
-    const FRAMES: usize = 1000;
-    for _ in 0..FRAMES {
-        let real = setup.sample(&etm, &mut rng);
-        for (i, scheme) in Scheme::ALL.iter().enumerate() {
-            let res = setup.run(*scheme, &real)?;
-            assert!(!res.missed_deadline, "{scheme} must meet the deadline");
-            totals[i] += res.total_energy();
-        }
-    }
+    let outs = run_batch_paired(
+        &setup.simulator(false),
+        &ExecTimeModel::paper_defaults(),
+        None,
+        || Scheme::ALL.iter().map(|s| setup.policy(*s)).collect(),
+        &BatchConfig::new(1000, 2002),
+    )?;
 
-    let npm = totals[0];
+    let npm: f64 = outs[0].energy.iter().sum();
     println!("\nscheme   normalized energy (lower is better)");
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        println!("{:<8} {:.4}", scheme.name(), totals[i] / npm);
+    for (scheme, out) in Scheme::ALL.iter().zip(&outs) {
+        assert!(
+            !out.missed.contains(&true),
+            "{scheme} must meet the deadline"
+        );
+        let total: f64 = out.energy.iter().sum();
+        println!("{:<8} {:.4}", scheme.name(), total / npm);
     }
     Ok(())
 }

@@ -8,7 +8,7 @@
 
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::power::ProcessorModel;
-use pas_andor::sim::ExecTimeModel;
+use pas_andor::sim::{run_batch_paired, BatchConfig, ExecTimeModel};
 use pas_andor::workloads::synthetic_app;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,17 +76,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n== Scheme comparison (500 runs) ==");
-    let mut rng = StdRng::seed_from_u64(7);
-    let etm = ExecTimeModel::paper_defaults();
-    let mut totals = vec![0.0_f64; Scheme::ALL.len()];
-    for _ in 0..500 {
-        let real = setup.sample(&etm, &mut rng);
-        for (i, scheme) in Scheme::ALL.iter().enumerate() {
-            totals[i] += setup.run(*scheme, &real)?.total_energy();
-        }
-    }
-    for (i, scheme) in Scheme::ALL.iter().enumerate() {
-        println!("  {:<7} {:.4}", scheme.name(), totals[i] / totals[0]);
+    let outs = run_batch_paired(
+        &setup.simulator(false),
+        &ExecTimeModel::paper_defaults(),
+        None,
+        || Scheme::ALL.iter().map(|s| setup.policy(*s)).collect(),
+        &BatchConfig::new(500, 7),
+    )?;
+    let totals: Vec<f64> = outs.iter().map(|o| o.energy.iter().sum()).collect();
+    for (scheme, total) in Scheme::ALL.iter().zip(&totals) {
+        println!("  {:<7} {:.4}", scheme.name(), total / totals[0]);
     }
     Ok(())
 }

@@ -10,8 +10,8 @@
 use pas_andor::core::{Scheme, Setup};
 use pas_andor::power::{EnergyMeter, ProcessorModel};
 use pas_andor::sim::{
-    realization_seed, run_batch, BatchConfig, BatchDistribution, DeadlineStatus, ExecTimeModel,
-    FaultPlan, Realization, RunResult,
+    realization_seed, run_batch, run_batch_paired, BatchConfig, BatchDistribution, BatchOutput,
+    DeadlineStatus, ExecTimeModel, FaultPlan, Realization, RunResult,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,6 +64,21 @@ fn fingerprint(r: &RunResult) -> Vec<u64> {
     }
     // Neither engine records a trace here (`record_trace` unset).
     v.push(r.trace.as_ref().map_or(0, |t| t.len() as u64));
+    v
+}
+
+/// Every column of a [`BatchOutput`] as bit patterns, kept results
+/// included.
+fn columns(out: &BatchOutput) -> Vec<u64> {
+    let mut v = vec![out.n_sections as u64, out.events_sampled, out.runs_sampled];
+    v.extend(out.finish_time.iter().map(|x| x.to_bits()));
+    v.extend(out.missed.iter().map(|&m| u64::from(m)));
+    v.extend(out.energy.iter().map(|x| x.to_bits()));
+    v.extend(&out.speed_changes);
+    v.extend(out.section_energy.iter().map(|x| x.to_bits()));
+    for r in out.results.iter().flatten() {
+        v.extend(fingerprint(r));
+    }
     v
 }
 
@@ -229,6 +244,66 @@ proptest! {
                 i,
                 chunk
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The paired form draws each realization once and runs every scheme
+    /// on it; each scheme's column is bit-identical to a one-policy
+    /// `run_batch` with the same configuration — on both platforms, under
+    /// random fault plans, uneven chunking and observability sampling.
+    #[test]
+    fn paired_columns_equal_one_policy_batches(
+        overrun_prob in 0.0f64..0.5,
+        overrun_factor in 1.0f64..2.0,
+        speed_fail_prob in 0.0f64..0.3,
+        stall_prob in 0.0f64..0.3,
+        stall_ms in 0.0f64..2.0,
+        fault_seed in 0u64..1_000,
+        base_seed in 0u64..1_000,
+        chunk in 1usize..9,
+    ) {
+        let plan = FaultPlan {
+            overrun_prob,
+            overrun_factor,
+            speed_fail_prob,
+            stall_prob,
+            stall_ms,
+            seed: fault_seed,
+        };
+        plan.validate().expect("generated plan is valid");
+        let etm = ExecTimeModel::paper_defaults();
+        for model in [ProcessorModel::transmeta5400(), ProcessorModel::xscale()] {
+            let app = pas_andor::workloads::synthetic_app().lower().expect("lowers");
+            let setup = Setup::for_load(app, model, 2, 0.5).expect("feasible");
+            let sim = setup.simulator(false);
+            let mut cfg = BatchConfig::new(10, base_seed);
+            cfg.chunk = chunk;
+            cfg.keep_results = true;
+            cfg.observe_stride = 3;
+            let paired = run_batch_paired(
+                &sim,
+                &etm,
+                Some(&plan),
+                || Scheme::ALL.iter().map(|s| setup.policy(*s)).collect(),
+                &cfg,
+            )
+            .expect("paired batch runs");
+            prop_assert_eq!(paired.len(), Scheme::ALL.len());
+            for (scheme, column) in Scheme::ALL.iter().zip(&paired) {
+                let single = run_batch(&sim, &etm, Some(&plan), || setup.policy(*scheme), &cfg)
+                    .expect("batch runs");
+                prop_assert_eq!(
+                    columns(column),
+                    columns(&single),
+                    "{} column diverged (chunk {})",
+                    scheme.name(),
+                    chunk
+                );
+            }
         }
     }
 }
