@@ -99,6 +99,7 @@ pub enum Code {
     Pas0506,
     Pas0507,
     Pas0508,
+    Pas0509,
     Pas0601,
     Pas0602,
     Pas0603,
@@ -111,7 +112,7 @@ impl Code {
     /// tests iterate this to ensure `docs/diagnostics.md` covers the
     /// whole catalog — a new variant that is not added here fails the
     /// `all_is_exhaustive` test below.
-    pub const ALL: [Code; 52] = [
+    pub const ALL: [Code; 53] = [
         Code::Pas0001,
         Code::Pas0002,
         Code::Pas0003,
@@ -159,6 +160,7 @@ impl Code {
         Code::Pas0506,
         Code::Pas0507,
         Code::Pas0508,
+        Code::Pas0509,
         Code::Pas0601,
         Code::Pas0602,
         Code::Pas0603,
@@ -215,6 +217,7 @@ impl Code {
             Code::Pas0506 => "PAS0506",
             Code::Pas0507 => "PAS0507",
             Code::Pas0508 => "PAS0508",
+            Code::Pas0509 => "PAS0509",
             Code::Pas0601 => "PAS0601",
             Code::Pas0602 => "PAS0602",
             Code::Pas0603 => "PAS0603",
@@ -263,6 +266,7 @@ impl Code {
             | Code::Pas0505
             | Code::Pas0506
             | Code::Pas0508
+            | Code::Pas0509
             | Code::Pas0601 => Error,
             Code::Pas0012
             | Code::Pas0013
@@ -331,6 +335,7 @@ impl Code {
             Code::Pas0506 => "service request handler panicked; the worker recovered",
             Code::Pas0507 => "service served a stale cached plan after re-derivation failed",
             Code::Pas0508 => "service request failed during planning or simulation",
+            Code::Pas0509 => "service request line exceeds the byte cap; the connection was closed",
             Code::Pas0601 => "symbolic bounds derivation failed its internal soundness self-check",
             Code::Pas0602 => {
                 "OR-path count exceeds the enumeration threshold; bounds use the DAG fallback"

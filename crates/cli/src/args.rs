@@ -28,8 +28,8 @@ pub enum Command {
     /// `PAS0xxx` diagnostics.
     Check,
     /// Long-running plan/simulation daemon: newline-delimited JSON over
-    /// TCP, a Unix socket, or a watched drop directory, behind a
-    /// fault-isolated worker pool with a content-addressed plan cache.
+    /// TCP or a Unix socket, behind a fault-isolated worker pool with a
+    /// content-addressed plan cache.
     Serve,
 }
 
@@ -119,8 +119,6 @@ pub struct Args {
     pub listen: Option<String>,
     /// `serve`: Unix-domain socket path.
     pub socket: Option<String>,
-    /// `serve`: drop directory answered with `.response.json` files.
-    pub watch: Option<String>,
     /// `serve`: worker threads in the pool.
     pub workers: usize,
     /// `serve`: bounded queue capacity (beyond it, requests shed).
@@ -196,7 +194,6 @@ impl Args {
             bounds: false,
             listen: None,
             socket: None,
-            watch: None,
             workers: 4,
             queue: 64,
             timeout_ms: 10_000,
@@ -210,73 +207,39 @@ impl Args {
         };
         let mut in_against = false;
         while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<&String, String> {
-                it.next().ok_or_else(|| format!("{name} needs a value"))
+            let mut value = || -> Result<&String, String> {
+                it.next().ok_or_else(|| format!("{flag} needs a value"))
             };
             match flag.as_str() {
-                "--app" => parsed.app = value("--app")?.clone(),
-                "--model" => parsed.model = value("--model")?.clone(),
-                "--procs" => {
-                    parsed.procs = parse_num(value("--procs")?, "--procs")?;
-                    if parsed.procs == 0 {
-                        return Err("--procs must be positive".into());
-                    }
-                }
-                "--load" => {
-                    let l: f64 = parse_num(value("--load")?, "--load")?;
-                    if !(l > 0.0 && l <= 1.0) {
-                        return Err("--load must be in (0, 1]".into());
-                    }
-                    parsed.load = Some(l);
-                }
-                "--deadline" => {
-                    parsed.deadline = Some(parse_num(value("--deadline")?, "--deadline")?)
-                }
-                "--scheme" => parsed.scheme = parse_scheme(value("--scheme")?)?,
-                "--seed" => parsed.seed = parse_num(value("--seed")?, "--seed")?,
-                "--reps" => {
-                    parsed.reps = parse_num(value("--reps")?, "--reps")?;
-                    if parsed.reps == 0 {
-                        return Err("--reps must be positive".into());
-                    }
-                }
-                "--alpha" => {
-                    let a: f64 = parse_num(value("--alpha")?, "--alpha")?;
-                    if !(a > 0.0 && a <= 1.0) {
-                        return Err("--alpha must be in (0, 1]".into());
-                    }
-                    parsed.alpha = Some(a);
-                }
+                "--app" => parsed.app = value()?.clone(),
+                "--model" => parsed.model = value()?.clone(),
+                "--procs" => parsed.procs = parse_positive(value()?, "--procs")?,
+                "--load" => parsed.load = Some(parse_fraction(value()?, "--load")?),
+                "--deadline" => parsed.deadline = Some(parse_num(value()?, "--deadline")?),
+                "--scheme" => parsed.scheme = parse_scheme(value()?)?,
+                "--seed" => parsed.seed = parse_num(value()?, "--seed")?,
+                "--reps" => parsed.reps = parse_positive(value()?, "--reps")?,
+                "--alpha" => parsed.alpha = Some(parse_fraction(value()?, "--alpha")?),
                 "--gantt" => parsed.gantt = true,
-                "--out" => parsed.out = Some(value("--out")?.clone()),
-                "--fault-plan" => parsed.fault_plan = Some(value("--fault-plan")?.clone()),
-                "--format" => parsed.format = value("--format")?.clone(),
-                "--proc" => parsed.proc_filter = Some(parse_num(value("--proc")?, "--proc")?),
-                "--kinds" => parsed.kinds = Some(value("--kinds")?.clone()),
-                "--frames" => {
-                    parsed.frames = Some(parse_num(value("--frames")?, "--frames")?);
-                    if parsed.frames == Some(0) {
-                        return Err("--frames must be positive".into());
-                    }
-                }
+                "--out" => parsed.out = Some(value()?.clone()),
+                "--fault-plan" => parsed.fault_plan = Some(value()?.clone()),
+                "--format" => parsed.format = value()?.clone(),
+                "--proc" => parsed.proc_filter = Some(parse_num(value()?, "--proc")?),
+                "--kinds" => parsed.kinds = Some(value()?.clone()),
+                "--frames" => parsed.frames = Some(parse_positive(value()?, "--frames")?),
                 "--carry" => parsed.carry = true,
                 "--metrics" => parsed.metrics = true,
-                "--batch" => {
-                    parsed.batch = Some(parse_num(value("--batch")?, "--batch")?);
-                    if parsed.batch == Some(0) {
-                        return Err("--batch must be positive".into());
-                    }
-                }
+                "--batch" => parsed.batch = Some(parse_positive(value()?, "--batch")?),
                 "--check" => parsed.check = true,
                 "--update-baselines" => parsed.update_baselines = true,
-                "--bench-dir" => parsed.bench_dir = Some(value("--bench-dir")?.clone()),
-                "--workloads" => parsed.workloads = Some(value("--workloads")?.clone()),
+                "--bench-dir" => parsed.bench_dir = Some(value()?.clone()),
+                "--workloads" => parsed.workloads = Some(value()?.clone()),
                 "--deny-warnings" => parsed.deny_warnings = true,
                 "--against" => {
                     if parsed.command != Command::Check {
                         return Err("--against is a `check` flag".into());
                     }
-                    let first = value("--against")?.clone();
+                    let first = value()?.clone();
                     if first.starts_with('-') {
                         return Err("--against needs a value".into());
                     }
@@ -286,31 +249,15 @@ impl Args {
                 }
                 "--fix" => parsed.fix = true,
                 "--bounds" => parsed.bounds = true,
-                "--listen" => parsed.listen = Some(value("--listen")?.clone()),
-                "--socket" => parsed.socket = Some(value("--socket")?.clone()),
-                "--watch" => parsed.watch = Some(value("--watch")?.clone()),
-                "--workers" => {
-                    parsed.workers = parse_num(value("--workers")?, "--workers")?;
-                    if parsed.workers == 0 {
-                        return Err("--workers must be positive".into());
-                    }
-                }
-                "--queue" => {
-                    parsed.queue = parse_num(value("--queue")?, "--queue")?;
-                    if parsed.queue == 0 {
-                        return Err("--queue must be positive".into());
-                    }
-                }
-                "--timeout-ms" => {
-                    parsed.timeout_ms = parse_num(value("--timeout-ms")?, "--timeout-ms")?;
-                    if parsed.timeout_ms == 0 {
-                        return Err("--timeout-ms must be positive".into());
-                    }
-                }
+                "--listen" => parsed.listen = Some(value()?.clone()),
+                "--socket" => parsed.socket = Some(value()?.clone()),
+                "--workers" => parsed.workers = parse_positive(value()?, "--workers")?,
+                "--queue" => parsed.queue = parse_positive(value()?, "--queue")?,
+                "--timeout-ms" => parsed.timeout_ms = parse_positive(value()?, "--timeout-ms")?,
                 "--debug-faults" => parsed.debug_faults = true,
-                "--log" => parsed.log = Some(value("--log")?.clone()),
+                "--log" => parsed.log = Some(value()?.clone()),
                 "--log-level" => {
-                    let level = value("--log-level")?.clone();
+                    let level = value()?.clone();
                     if pas_obs::log::Level::parse(&level).is_none() {
                         return Err(format!(
                             "bad value for --log-level: {level} (trace|debug|info|warn|error)"
@@ -318,11 +265,11 @@ impl Args {
                     }
                     parsed.log_level = level;
                 }
-                "--crash-dir" => parsed.crash_dir = Some(value("--crash-dir")?.clone()),
-                "--trace-out" => parsed.trace_out = Some(value("--trace-out")?.clone()),
+                "--crash-dir" => parsed.crash_dir = Some(value()?.clone()),
+                "--trace-out" => parsed.trace_out = Some(value()?.clone()),
                 "--profile" => parsed.profile = true,
                 "--profile-out" => {
-                    parsed.profile_out = Some(value("--profile-out")?.clone());
+                    parsed.profile_out = Some(value()?.clone());
                     parsed.profile = true;
                 }
                 other => {
@@ -350,12 +297,8 @@ impl Args {
         if parsed.carry && parsed.frames.is_none() {
             return Err("--carry requires --frames".into());
         }
-        if parsed.command == Command::Serve
-            && parsed.listen.is_none()
-            && parsed.socket.is_none()
-            && parsed.watch.is_none()
-        {
-            return Err("serve needs at least one of --listen, --socket or --watch".into());
+        if parsed.command == Command::Serve && parsed.listen.is_none() && parsed.socket.is_none() {
+            return Err("serve needs --listen, --socket or both".into());
         }
         if parsed.profile && !matches!(parsed.command, Command::Plan | Command::Check) {
             return Err("--profile is a `plan`/`check` flag".into());
@@ -385,18 +328,34 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value for {flag}: {s}"))
 }
 
+/// A count that must be at least 1.
+fn parse_positive<T: std::str::FromStr + Default + PartialEq>(
+    s: &str,
+    flag: &str,
+) -> Result<T, String> {
+    let v: T = parse_num(s, flag)?;
+    if v == T::default() {
+        return Err(format!("{flag} must be positive"));
+    }
+    Ok(v)
+}
+
+/// A share in (0, 1].
+fn parse_fraction(s: &str, flag: &str) -> Result<f64, String> {
+    let x: f64 = parse_num(s, flag)?;
+    if !(x > 0.0 && x <= 1.0) {
+        return Err(format!("{flag} must be in (0, 1]"));
+    }
+    Ok(x)
+}
+
 fn parse_scheme(s: &str) -> Result<SchemeArg, String> {
-    use pas_core::Scheme::*;
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "npm" => SchemeArg::Scheme(Npm),
-        "spm" => SchemeArg::Scheme(Spm),
-        "gss" => SchemeArg::Scheme(Gss),
-        "ss1" | "ss(1)" => SchemeArg::Scheme(Ss1),
-        "ss2" | "ss(2)" => SchemeArg::Scheme(Ss2),
-        "as" => SchemeArg::Scheme(As),
-        "oracle" => SchemeArg::Oracle,
-        other => return Err(format!("unknown scheme '{other}'")),
-    })
+    let name = s.to_ascii_lowercase();
+    match pas_core::Scheme::parse(&name) {
+        Some(scheme) => Ok(SchemeArg::Scheme(scheme)),
+        None if name == "oracle" => Ok(SchemeArg::Oracle),
+        None => Err(format!("unknown scheme '{name}'")),
+    }
 }
 
 #[cfg(test)]
@@ -638,8 +597,8 @@ mod tests {
         assert!(parse(&["serve", "--listen", "x", "--workers", "0"]).is_err());
         assert!(parse(&["serve", "--listen", "x", "--queue", "0"]).is_err());
         assert!(parse(&["serve", "--listen", "x", "--timeout-ms", "0"]).is_err());
-        let b = parse(&["serve", "--watch", "drops/"]).unwrap();
-        assert_eq!(b.watch.as_deref(), Some("drops/"));
+        let b = parse(&["serve", "--socket", "pas.sock"]).unwrap();
+        assert_eq!(b.socket.as_deref(), Some("pas.sock"));
         assert_eq!(b.workers, 4);
     }
 

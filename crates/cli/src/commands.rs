@@ -216,7 +216,6 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
     let eps = pas_serve::Endpoints {
         tcp: args.listen.clone(),
         unix: args.socket.clone(),
-        watch: args.watch.clone(),
     };
     let out = pas_serve::run_server(cfg, &eps).map(|summary| format!("{summary}\n"));
     // Flush and close the log file even when the server exits with a

@@ -52,7 +52,7 @@ pub const USAGE: &str =
 [--check] [--update-baselines] [--bench-dir DIR] [--workloads w1,w2,...] \
 [--deny-warnings] [--against REF...] [--fix] \
 [--profile] [--profile-out FILE] \
-[--listen HOST:PORT] [--socket PATH] [--watch DIR] [--workers N] [--queue N] \
+[--listen HOST:PORT] [--socket PATH] [--workers N] [--queue N] \
 [--timeout-ms T] [--debug-faults] [--log FILE|stderr] [--log-level L] \
 [--crash-dir DIR] [--trace-out DIR]";
 

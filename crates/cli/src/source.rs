@@ -145,7 +145,6 @@ mod tests {
             update_baselines: false,
             listen: None,
             socket: None,
-            watch: None,
             workers: 4,
             queue: 64,
             timeout_ms: 10_000,

@@ -67,6 +67,20 @@ impl Scheme {
         }
     }
 
+    /// Parses a scheme from its display name or its short form (`ss1`
+    /// for `SS(1)`), ignoring case.
+    pub fn parse(s: &str) -> Option<Scheme> {
+        Some(match s.to_ascii_lowercase().as_str() {
+            "npm" => Scheme::Npm,
+            "spm" => Scheme::Spm,
+            "gss" => Scheme::Gss,
+            "ss1" | "ss(1)" => Scheme::Ss1,
+            "ss2" | "ss(2)" => Scheme::Ss2,
+            "as" => Scheme::As,
+            _ => return None,
+        })
+    }
+
     /// Instantiates the scheme's policy against a plan and platform.
     pub fn build<'a>(
         self,

@@ -103,6 +103,9 @@ pub mod names {
     /// `pas serve` request lifecycle: response envelope construction and
     /// reply delivery.
     pub const REQ_RESPOND: &str = "req.respond";
+    /// `pas serve` request lifecycle: the one socket write of the
+    /// response line.
+    pub const REQ_WRITE: &str = "req.write";
 
     /// Every span name the workspace emits.
     pub const ALL: &[&str] = &[
@@ -127,6 +130,7 @@ pub mod names {
         REQ_CACHE_LOOKUP,
         REQ_EXEC,
         REQ_RESPOND,
+        REQ_WRITE,
     ];
 }
 

@@ -137,17 +137,7 @@ impl FlightRecorder {
         let log_tail: Vec<Value> = log::recent().iter().map(log::LogRecord::to_value).collect();
         let (counters, gauges) = {
             let m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-            let counters: Vec<(String, Value)> = m
-                .counters()
-                .filter(|(name, _)| name.starts_with("serve."))
-                .map(|(name, v)| (name.to_string(), Value::UInt(v)))
-                .collect();
-            let gauges: Vec<(String, Value)> = m
-                .gauges()
-                .filter(|(name, _)| name.starts_with("serve."))
-                .map(|(name, v)| (name.to_string(), Value::Float(v)))
-                .collect();
-            (counters, gauges)
+            crate::telemetry::serve_counters_and_gauges(&m)
         };
         let t_wall_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -164,8 +154,8 @@ impl FlightRecorder {
             ("t_wall_ms".to_string(), Value::UInt(t_wall_ms)),
             ("events".to_string(), Value::Array(events)),
             ("log_tail".to_string(), Value::Array(log_tail)),
-            ("counters".to_string(), Value::Object(counters)),
-            ("gauges".to_string(), Value::Object(gauges)),
+            ("counters".to_string(), counters),
+            ("gauges".to_string(), gauges),
         ]);
         let body = match serde_json::to_string(&report) {
             Ok(b) => b,

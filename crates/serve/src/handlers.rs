@@ -11,6 +11,7 @@ use crate::cache::{CachedPlan, PlanCache};
 use crate::pool::JobCtx;
 use crate::proto::{object, report_value, Rejection, ReqKind, Request, WorkloadSpec};
 use crate::service::ServeConfig;
+use crate::telemetry::bump;
 use andor_graph::AndOrGraph;
 use dvfs_power::{Overheads, ProcessorModel};
 use mp_sim::ExecTimeModel;
@@ -29,13 +30,6 @@ use std::time::Duration;
 /// Default load when a request names neither `load` nor `deadline_ms`.
 pub const DEFAULT_LOAD: f64 = 0.5;
 
-fn inc(metrics: &Mutex<MetricsRegistry>, name: &str) {
-    metrics
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .inc(name, 1);
-}
-
 fn cancelled_check(flag: &AtomicBool) -> Result<(), Rejection> {
     if flag.load(Ordering::SeqCst) {
         // The submitter already answered PAS0505; this reply is dropped,
@@ -53,7 +47,7 @@ fn read_with_retry(path: &str, metrics: &Mutex<MetricsRegistry>) -> Result<Strin
     let mut last = String::new();
     for attempt in 0..ATTEMPTS {
         if attempt > 0 {
-            inc(metrics, "serve.io_retries");
+            bump(metrics, &["serve.io_retries"]);
             std::thread::sleep(Duration::from_millis(10 * u64::from(attempt)));
         }
         match std::fs::read_to_string(path) {
@@ -235,7 +229,7 @@ fn handle_plan(
         cache.get(&key)
     };
     if let (Some(hit), false) = (&cached, req.revalidate) {
-        inc(metrics, "serve.cache.hits");
+        bump(metrics, &["serve.cache.hits"]);
         log::emit(
             log::Level::Debug,
             "serve.handlers",
@@ -245,7 +239,7 @@ fn handle_plan(
         return plan_body(&key, hit, true, false);
     }
     if cached.is_none() {
-        inc(metrics, "serve.cache.misses");
+        bump(metrics, &["serve.cache.misses"]);
         log::emit(
             log::Level::Debug,
             "serve.handlers",
@@ -298,7 +292,7 @@ fn handle_plan(
         }
         Ok(Err(rej)) => match cached {
             Some(stale) => {
-                inc(metrics, "serve.stale_served");
+                bump(metrics, &["serve.stale_served"]);
                 warn_stale(&stale);
                 plan_body(&key, &stale, true, true)
             }
@@ -306,7 +300,7 @@ fn handle_plan(
         },
         Err(payload) => match cached {
             Some(stale) => {
-                inc(metrics, "serve.stale_served");
+                bump(metrics, &["serve.stale_served"]);
                 warn_stale(&stale);
                 plan_body(&key, &stale, true, true)
             }

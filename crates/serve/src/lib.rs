@@ -8,15 +8,17 @@
 //! cheap per-frame serving forever after) only pays off if the offline
 //! half can run somewhere long-lived. This crate is that somewhere: a
 //! daemon that accepts plan/check/run/trace requests as
-//! newline-delimited JSON over TCP, a Unix socket, or a watched drop
-//! directory, and answers every single one with a structured response —
-//! whatever the request did.
+//! newline-delimited JSON over TCP or a Unix socket, and answers every
+//! single one with a structured response — whatever the request did.
 //!
 //! Robustness is the design center:
 //!
 //! - **Back-pressure, never unbounded queueing** — a fixed worker pool
 //!   drains a bounded queue ([`queue::Bounded`]); beyond capacity,
-//!   requests shed immediately with a retry-after hint (`PAS0504`).
+//!   requests shed immediately with a retry-after hint (`PAS0504`). The
+//!   front-ends ([`net`]) cap open connections at `workers + queue_cap`
+//!   (the next one is shed the same way) and request lines at
+//!   [`net::MAX_REQUEST_BYTES`] (`PAS0509`).
 //! - **Deadlines with cancellation** — every request carries a deadline;
 //!   on expiry the submitter answers `PAS0505` and flips a cooperative
 //!   cancellation flag that workers poll.
@@ -37,11 +39,11 @@
 //!   counters, cache hit rate and per-kind latency flow through
 //!   [`pas_obs::MetricsRegistry`] and surface in `status` responses.
 //!   Per-kind latency histograms (queue wait, execution, end-to-end,
-//!   plan execution split by cache hit/miss) report p50/p95/p99 in
-//!   `status`, and the `metrics` kind renders the whole surface in
-//!   Prometheus text exposition format ([`telemetry`]). Every request
-//!   carries a correlation id — client-chosen, or minted `auto-<seq>`
-//!   at ingest — echoed in its response.
+//!   socket write, plan execution split by cache hit/miss) report
+//!   p50/p95/p99 in `status`, and the `metrics` kind renders the whole
+//!   surface in Prometheus text exposition format ([`telemetry`]).
+//!   Every request carries a correlation id — client-chosen, or minted
+//!   `auto-<seq>` at ingest — echoed in its response.
 //! - **Structured logs** — `--log FILE|stderr` routes every service
 //!   event through [`pas_obs::log`] as single-line JSON records, with
 //!   the request's correlation id threaded through queue and workers.
@@ -58,7 +60,7 @@
 //!   request stops accepting and drains in-flight work under a deadline.
 //!
 //! The wire schema is documented in `docs/service.md`; the `PAS0501` –
-//! `PAS0508` diagnostics in `docs/diagnostics.md`.
+//! `PAS0509` diagnostics in `docs/diagnostics.md`.
 //!
 //! # Example
 //!
@@ -88,7 +90,7 @@ pub mod telemetry;
 pub use cache::{CachedPlan, PlanCache};
 pub use flight::{FlightEvent, FlightRecorder, CRASH_SCHEMA_VERSION};
 pub use net::{run_server, Endpoints};
-pub use pool::{Executor, Job, JobCtx, SubmitError, WorkerPool};
+pub use pool::{Job, JobCtx, SubmitError, WorkerPool};
 pub use proto::{parse_request, Rejection, ReqKind, Request, PROTO_VERSION};
 pub use queue::Bounded;
 pub use reqtrace::Timeline;

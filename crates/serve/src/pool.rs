@@ -11,7 +11,7 @@ use crate::flight::FlightRecorder;
 use crate::proto::{error_response, ok_response, panic_response, Rejection, ReqKind, Request};
 use crate::queue::{Bounded, PushError};
 use crate::reqtrace::{Timeline, TimelineSpan};
-use crate::telemetry::{LatencyStore, SeriesKey};
+use crate::telemetry::{bump, record_latency, LatencyStore, SeriesKey};
 use pas_obs::profile::names;
 use pas_obs::{log, MetricsRegistry};
 use serde::Value;
@@ -81,14 +81,6 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
-/// The dispatch seam: anything that accepts jobs. The production
-/// implementation is [`WorkerPool`]; tests substitute doubles to
-/// exercise the protocol layer without threads.
-pub trait Executor: Send + Sync {
-    /// Enqueues a job, returning the queue depth after the push.
-    fn submit(&self, job: Job) -> Result<usize, SubmitError>;
-}
-
 /// The handler a worker runs for each job. Returns the response body on
 /// success or a structured [`Rejection`]; panics are contained by the
 /// pool.
@@ -155,6 +147,14 @@ impl WorkerPool {
         self.busy.load(Ordering::SeqCst)
     }
 
+    /// Enqueues a job, returning the queue depth after the push.
+    pub fn submit(&self, job: Job) -> Result<usize, SubmitError> {
+        self.queue.try_push(job).map_err(|e| match e {
+            PushError::Full(depth) => SubmitError::QueueFull { depth },
+            PushError::Closed => SubmitError::ShuttingDown,
+        })
+    }
+
     /// Closes the queue and waits for in-flight work to drain, up to
     /// `deadline`. Returns the number of workers abandoned mid-job (0 on
     /// a clean drain); abandoned threads are detached, not killed.
@@ -179,30 +179,6 @@ impl WorkerPool {
     }
 }
 
-impl Executor for WorkerPool {
-    fn submit(&self, job: Job) -> Result<usize, SubmitError> {
-        self.queue.try_push(job).map_err(|e| match e {
-            PushError::Full(depth) => SubmitError::QueueFull { depth },
-            PushError::Closed => SubmitError::ShuttingDown,
-        })
-    }
-}
-
-/// Records one latency observation, tallying `serve.latency.overflow`
-/// when the sample fell beyond the histogram range (it still lands,
-/// clamped, in the top bin — but no longer silently).
-fn record_latency(
-    latencies: &LatencyStore,
-    metrics: &Mutex<MetricsRegistry>,
-    key: SeriesKey,
-    ms: f64,
-) {
-    if latencies.record(key, ms) {
-        let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-        m.inc("serve.latency.overflow", 1);
-    }
-}
-
 fn worker_loop(
     queue: &Bounded<Job>,
     busy: &AtomicUsize,
@@ -215,8 +191,7 @@ fn worker_loop(
         if job.ctx.cancelled.load(Ordering::SeqCst) {
             // The submitter already answered with PAS0505; don't burn a
             // worker on a response nobody is waiting for.
-            let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.cancelled_in_queue", 1);
+            bump(metrics, &["serve.cancelled_in_queue"]);
             continue;
         }
         let kind = job.req.kind.name();
@@ -263,13 +238,9 @@ fn worker_loop(
             Ok(Err(rej)) => (error_response(&job.req.id, &rej), "serve.responses.error"),
             Err(payload) => {
                 let detail = panic_detail(payload.as_ref());
-                {
-                    let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    m.inc("serve.panics", 1);
-                    // catch_unwind recovers the worker in place — the
-                    // same accounting slot a respawn would fill.
-                    m.inc("serve.worker_recoveries", 1);
-                }
+                // catch_unwind recovers the worker in place — the same
+                // accounting slot a respawn would fill.
+                bump(metrics, &["serve.panics", "serve.worker_recoveries"]);
                 log::emit(
                     log::Level::Error,
                     "serve.pool",
@@ -284,8 +255,7 @@ fn worker_loop(
                     .dump("PAS0506", &job.req.id, &job.raw, metrics)
                     .is_some()
                 {
-                    let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    m.inc("serve.crash_reports", 1);
+                    bump(metrics, &["serve.crash_reports"]);
                 }
                 (
                     panic_response(&job.req.id, &detail),
@@ -293,10 +263,7 @@ fn worker_loop(
                 )
             }
         };
-        {
-            let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc(counter, 1);
-        }
+        bump(metrics, &[counter]);
         // A dropped receiver means the submitter gave up (deadline); the
         // work is wasted but the worker is fine.
         let _ = job.reply.send(line);

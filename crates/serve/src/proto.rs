@@ -181,7 +181,8 @@ impl Rejection {
     }
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
+/// Builds a JSON object value from string keys (handler helper).
+pub fn object(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
@@ -272,9 +273,8 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
     }
     let scheme = match str_field(&v, "scheme")? {
         None => Scheme::Gss,
-        Some(s) => {
-            parse_scheme(&s).ok_or_else(|| Rejection::bad_param(format!("unknown scheme '{s}'")))?
-        }
+        Some(s) => Scheme::parse(&s)
+            .ok_or_else(|| Rejection::bad_param(format!("unknown scheme '{s}'")))?,
     };
     let seed = u64_field(&v, "seed")?.unwrap_or(42);
     let batch = match u64_field(&v, "batch")? {
@@ -312,25 +312,13 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
     })
 }
 
-fn parse_scheme(s: &str) -> Option<Scheme> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "npm" => Scheme::Npm,
-        "spm" => Scheme::Spm,
-        "gss" => Scheme::Gss,
-        "ss1" | "ss(1)" => Scheme::Ss1,
-        "ss2" | "ss(2)" => Scheme::Ss2,
-        "as" => Scheme::As,
-        _ => return None,
-    })
-}
-
 pub(crate) fn report_value(report: &Report) -> Value {
     Value::Array(
         report
             .diagnostics
             .iter()
             .map(|d| {
-                obj(vec![
+                object(vec![
                     ("code", Value::Str(d.code.as_str().to_string())),
                     ("severity", Value::Str(d.severity.label().to_string())),
                     ("source", Value::Str(d.loc.source.clone())),
@@ -349,7 +337,7 @@ fn envelope(id: &str, status: &str, extra: Vec<(&str, Value)>) -> String {
         ("status", Value::Str(status.to_string())),
     ];
     pairs.extend(extra);
-    serde_json::to_string(&obj(pairs)).unwrap_or_else(|_| {
+    serde_json::to_string(&object(pairs)).unwrap_or_else(|_| {
         // Unreachable: Value serialization is total. Kept total anyway.
         format!("{{\"proto\":{PROTO_VERSION},\"id\":\"{id}\",\"status\":\"error\"}}")
     })
@@ -381,8 +369,9 @@ pub fn error_response(id: &str, rej: &Rejection) -> String {
 }
 
 /// Back-pressure refusal: `status: "shed"` (`PAS0504`) with a
-/// retry-after hint. The request was never queued.
-pub fn shed_response(id: &str, retry_after_ms: u64, depth: usize) -> String {
+/// retry-after hint; `why` says what was full. The request was never
+/// queued.
+pub fn shed_response(id: &str, retry_after_ms: u64, why: &str) -> String {
     envelope(
         id,
         "shed",
@@ -390,9 +379,7 @@ pub fn shed_response(id: &str, retry_after_ms: u64, depth: usize) -> String {
             ("code", Value::Str(Code::Pas0504.as_str().to_string())),
             (
                 "message",
-                Value::Str(format!(
-                    "queue full ({depth} requests deep); retry in {retry_after_ms} ms"
-                )),
+                Value::Str(format!("{why}; retry in {retry_after_ms} ms")),
             ),
             ("retry_after_ms", Value::UInt(retry_after_ms)),
         ],
@@ -430,11 +417,6 @@ pub fn panic_response(id: &str, detail: &str) -> String {
             ),
         ],
     )
-}
-
-/// Builds a JSON object value from string keys (handler helper).
-pub fn object(pairs: Vec<(&str, Value)>) -> Value {
-    obj(pairs)
 }
 
 #[cfg(test)]
@@ -534,7 +516,7 @@ mod tests {
         assert_eq!(v.get("proto").and_then(Value::as_u64), Some(1));
         assert!(!ok.contains('\n'));
 
-        let shed = shed_response("r2", 50, 64);
+        let shed = shed_response("r2", 50, "queue full (64 requests deep)");
         let v: Value = serde_json::from_str(&shed).expect("valid JSON");
         assert_eq!(v.get("status").and_then(Value::as_str), Some("shed"));
         assert_eq!(v.get("code").and_then(Value::as_str), Some("PAS0504"));

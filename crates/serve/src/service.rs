@@ -2,22 +2,24 @@
 //!
 //! [`Service::handle_line`] is the whole synchronous round trip — parse,
 //! admission (back-pressure), dispatch to the pool, deadline enforcement
-//! — and is transport-agnostic: the TCP, Unix-socket and drop-directory
-//! front-ends in [`crate::net`] all funnel through it, as do the tests.
+//! — and is transport-agnostic: the TCP and Unix-socket front-ends in
+//! [`crate::net`] funnel through it by `Service::respond`, which adds
+//! the one socket write, as do the tests.
 
 use crate::cache::PlanCache;
 use crate::flight::FlightRecorder;
 use crate::handlers;
-use crate::pool::{Executor, Job, JobCtx, SubmitError, WorkerPool};
+use crate::pool::{Job, JobCtx, SubmitError, WorkerPool};
 use crate::proto::{
     error_response, ok_response, parse_request, shed_response, timeout_response, Rejection, ReqKind,
 };
 use crate::reqtrace::{sanitize_id, Timeline};
-use crate::telemetry::{self, LatencyStore, SeriesKey};
+use crate::telemetry::{self, bump, record_latency, LatencyStore, SeriesKey};
 use pas_analyze::Code;
 use pas_obs::profile::names;
 use pas_obs::{log, MetricsRegistry};
 use serde::Value;
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -128,19 +130,42 @@ impl Service {
     /// without one, so every response and log line stays correlatable.
     fn generate_request_id(&self) -> String {
         let seq = self.next_auto_id.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        m.inc("serve.request_ids.generated", 1);
+        bump(&self.metrics, &["serve.request_ids.generated"]);
         format!("auto-{seq:06}")
     }
 
     /// The full round trip for one request line: always returns exactly
     /// one single-line JSON response, whatever the input did.
     pub fn handle_line(&self, line: &str) -> String {
+        let answer = self.answer(line);
+        self.write_trace_file(&answer);
+        answer.text
+    }
+
+    /// [`handle_line`](Self::handle_line) onto `out`: the response and
+    /// its `\n` leave in one `write_all`, timed as the request's `write`
+    /// stage. A `--trace-out` file is written after the write, so it
+    /// holds the `req.write` span that an echoed timeline cannot.
+    pub(crate) fn respond<W: Write>(&self, line: &str, out: &mut W) -> std::io::Result<()> {
+        let mut answer = self.answer(line);
+        answer.text.push('\n');
         let t0 = Instant::now();
-        {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.requests", 1);
+        let written = out
+            .write_all(answer.text.as_bytes())
+            .and_then(|()| out.flush());
+        if let Some((_, tl)) = &answer.timeline {
+            tl.record_since(names::REQ_WRITE, t0);
         }
+        if let Some(kind) = answer.kind {
+            self.record_ms(kind, "write", ms_since(t0));
+        }
+        self.write_trace_file(&answer);
+        written
+    }
+
+    fn answer(&self, line: &str) -> Answer {
+        let t0 = Instant::now();
+        bump(&self.metrics, &["serve.requests"]);
         let mut req = match parse_request(line) {
             Ok(req) => req,
             Err(rej) => {
@@ -157,44 +182,30 @@ impl Service {
                         ("message", Value::Str(rej.message.clone())),
                     ],
                 );
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.error", 1);
-                return error_response(&id, &rej);
+                bump(&self.metrics, &["serve.responses.error"]);
+                return Answer::untraced(error_response(&id, &rej), None);
             }
         };
         if req.id == "-" {
             req.id = self.generate_request_id();
         } else {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.request_ids.client", 1);
+            bump(&self.metrics, &["serve.request_ids.client"]);
         }
 
         // Control-plane kinds bypass the queue: health must stay
         // observable under full load, and shutdown must always land.
-        match req.kind {
-            ReqKind::Status => {
-                let body = self.status_body();
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.ok", 1);
-                return ok_response(&req.id, ReqKind::Status, body);
-            }
-            ReqKind::Metrics => {
-                let body = self.metrics_body();
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.ok", 1);
-                return ok_response(&req.id, ReqKind::Metrics, body);
-            }
+        let control = match req.kind {
+            ReqKind::Status => Some(self.status_body()),
+            ReqKind::Metrics => Some(self.metrics_body()),
             ReqKind::Shutdown => {
                 self.shutdown_requested.store(true, Ordering::SeqCst);
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.ok", 1);
-                return ok_response(
-                    &req.id,
-                    ReqKind::Shutdown,
-                    crate::proto::object(vec![("draining", Value::Bool(true))]),
-                );
+                Some(crate::proto::object(vec![("draining", Value::Bool(true))]))
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some(body) = control {
+            bump(&self.metrics, &["serve.responses.ok"]);
+            return Answer::untraced(ok_response(&req.id, req.kind, body), Some(req.kind));
         }
 
         let timeout_ms = req.timeout_ms.unwrap_or(self.cfg.default_timeout_ms);
@@ -245,17 +256,14 @@ impl Service {
                         .dump("PAS0504", &id, line, &self.metrics)
                         .is_some()
                 {
-                    let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    m.inc("serve.crash_reports", 1);
+                    bump(&self.metrics, &["serve.crash_reports"]);
                 }
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.shed", 1);
-                m.inc("serve.responses.shed", 1);
-                shed_response(&id, self.cfg.retry_after_ms, depth)
+                bump(&self.metrics, &["serve.shed", "serve.responses.shed"]);
+                let why = format!("queue full ({depth} requests deep)");
+                shed_response(&id, self.cfg.retry_after_ms, &why)
             }
             Err(SubmitError::ShuttingDown) => {
-                let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                m.inc("serve.responses.error", 1);
+                bump(&self.metrics, &["serve.responses.error"]);
                 error_response(
                     &id,
                     &Rejection::new(Code::Pas0504, "service is draining for shutdown"),
@@ -284,12 +292,12 @@ impl Service {
                         .dump("PAS0505", &id, line, &self.metrics)
                         .is_some()
                     {
-                        let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                        m.inc("serve.crash_reports", 1);
+                        bump(&self.metrics, &["serve.crash_reports"]);
                     }
-                    let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-                    m.inc("serve.timeouts", 1);
-                    m.inc("serve.responses.timeout", 1);
+                    bump(
+                        &self.metrics,
+                        &["serve.timeouts", "serve.responses.timeout"],
+                    );
                     timeout_response(&id, timeout_ms)
                 }
             },
@@ -299,9 +307,6 @@ impl Service {
         let response = match &timeline {
             Some(tl) => {
                 tl.record_since(names::REQ_RESPOND, respond_t0);
-                if let Some(dir) = &self.cfg.trace_dir {
-                    self.write_trace_file(dir, &id, tl);
-                }
                 if want_echo {
                     echo_timeline(&response, tl)
                 } else {
@@ -310,14 +315,8 @@ impl Service {
             }
             None => response,
         };
-        let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if self
-            .latencies
-            .record(SeriesKey::new(kind.name(), "total"), elapsed_ms)
-        {
-            let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-            m.inc("serve.latency.overflow", 1);
-        }
+        let elapsed_ms = ms_since(t0);
+        self.record_ms(kind, "total", elapsed_ms);
         {
             let mut m = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
             m.add_gauge(&format!("serve.stage_ms.{}", kind.name()), elapsed_ms);
@@ -333,12 +332,43 @@ impl Service {
                 ("elapsed_ms", Value::Float(elapsed_ms)),
             ],
         );
-        response
+        Answer {
+            text: response,
+            kind: Some(kind),
+            timeline: timeline.map(|tl| (id, tl)),
+        }
+    }
+
+    /// The one line sent, before closing, on a connection whose pending
+    /// request outgrew `cap` bytes without a newline (`PAS0509`).
+    pub(crate) fn oversized_line(&self, cap: usize) -> String {
+        bump(&self.metrics, &["serve.requests", "serve.responses.error"]);
+        let msg = format!("request line exceeds {cap} bytes without a newline; closing");
+        error_response(
+            &self.generate_request_id(),
+            &Rejection::new(Code::Pas0509, msg),
+        )
+    }
+
+    /// The one line sent, before closing, on a connection beyond the cap
+    /// of `cap` open connections: a `PAS0504` shed with the retry hint.
+    pub(crate) fn shed_connection(&self, cap: usize) -> String {
+        bump(&self.metrics, &["serve.shed", "serve.responses.shed"]);
+        let why = format!("{cap} connections open");
+        shed_response(&self.generate_request_id(), self.cfg.retry_after_ms, &why)
+    }
+
+    fn record_ms(&self, kind: ReqKind, stage: &'static str, ms: f64) {
+        let key = SeriesKey::new(kind.name(), stage);
+        record_latency(&self.latencies, &self.metrics, key, ms);
     }
 
     /// Writes one Chrome-trace file per request under `--trace-out`; a
     /// failed write is logged and dropped, never fatal.
-    fn write_trace_file(&self, dir: &str, id: &str, tl: &Timeline) {
+    fn write_trace_file(&self, answer: &Answer) {
+        let (Some((id, tl)), Some(dir)) = (&answer.timeline, &self.cfg.trace_dir) else {
+            return;
+        };
         let dir = Path::new(dir);
         let write = std::fs::create_dir_all(dir).and_then(|()| {
             std::fs::write(
@@ -366,16 +396,7 @@ impl Service {
         } else {
             0.0
         };
-        let counters: Vec<(String, Value)> = m
-            .counters()
-            .filter(|(name, _)| name.starts_with("serve."))
-            .map(|(name, v)| (name.to_string(), Value::UInt(v)))
-            .collect();
-        let gauges: Vec<(String, Value)> = m
-            .gauges()
-            .filter(|(name, _)| name.starts_with("serve."))
-            .map(|(name, v)| (name.to_string(), Value::Float(v)))
-            .collect();
+        let (counters, gauges) = telemetry::serve_counters_and_gauges(&m);
         fn opt_ms(x: Option<f64>) -> Value {
             x.map(Value::Float).unwrap_or(Value::Null)
         }
@@ -433,8 +454,8 @@ impl Service {
                     ),
                 ]),
             ),
-            ("counters", Value::Object(counters)),
-            ("gauges", Value::Object(gauges)),
+            ("counters", counters),
+            ("gauges", gauges),
             ("latency", Value::Object(latency)),
         ])
     }
@@ -462,11 +483,6 @@ impl Service {
         self.shutdown_requested.load(Ordering::SeqCst)
     }
 
-    /// Marks the service as draining (the signal handler's entry point).
-    pub fn request_shutdown(&self) {
-        self.shutdown_requested.store(true, Ordering::SeqCst);
-    }
-
     /// Drains the pool under the configured deadline; returns the number
     /// of workers abandoned mid-job (0 on a clean drain).
     pub fn shutdown(&self) -> usize {
@@ -490,6 +506,29 @@ impl Service {
     pub fn flight(&self) -> &FlightRecorder {
         &self.flight
     }
+}
+
+/// One answered request line, not yet on the wire.
+struct Answer {
+    text: String,
+    /// The request kind; `None` when the line did not parse.
+    kind: Option<ReqKind>,
+    /// The request id and its timeline, when the request keeps one.
+    timeline: Option<(String, Arc<Timeline>)>,
+}
+
+impl Answer {
+    fn untraced(text: String, kind: Option<ReqKind>) -> Self {
+        Answer {
+            text,
+            kind,
+            timeline: None,
+        }
+    }
+}
+
+fn ms_since(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// Appends the request's span timeline to an already-rendered response

@@ -1,9 +1,10 @@
 //! Request telemetry: per-kind latency histograms and the Prometheus
 //! text exposition behind the `metrics` request kind.
 //!
-//! Latencies are recorded in three stages per request kind — `queue`
-//! (wait in the bounded queue), `exec` (handler wall time) and `total`
-//! (end-to-end, ingest to response) — on fixed-bin [`Histogram`]s so the
+//! Latencies are recorded in four stages per request kind — `queue`
+//! (wait in the bounded queue), `exec` (handler wall time), `total`
+//! (end-to-end, ingest to response) and `write` (the socket write of the
+//! response line) — on fixed-bin [`Histogram`]s so the
 //! store stays bounded no matter how long the daemon runs. `plan`
 //! execution is additionally split by cache outcome (`hit`/`miss`),
 //! because a cached plan and a full Theorem-1 re-derivation are
@@ -14,6 +15,7 @@
 
 use pas_obs::MetricsRegistry;
 use pas_stats::Histogram;
+use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -57,9 +59,10 @@ pub const PRE_SEEDED_COUNTERS: &[&str] = &[
 pub const LATENCY_KINDS: &[&str] = &["plan", "check", "run", "trace", "montecarlo"];
 
 /// The pipeline stages recorded per kind: `queue` is time spent waiting
-/// in the bounded queue, `exec` is handler wall time on a worker, and
-/// `total` is end-to-end from ingest to response.
-pub const LATENCY_STAGES: &[&str] = &["queue", "exec", "total"];
+/// in the bounded queue, `exec` is handler wall time on a worker,
+/// `total` is end-to-end from ingest to response, and `write` is the
+/// socket write of the response line that follows `total`.
+pub const LATENCY_STAGES: &[&str] = &["queue", "exec", "total", "write"];
 
 /// Identifies one latency series: request kind, pipeline stage, and the
 /// optional cache-outcome split (`plan` execution only).
@@ -206,6 +209,48 @@ impl LatencyStore {
     }
 }
 
+/// Adds one to each counter in `names`.
+pub(crate) fn bump(metrics: &Mutex<MetricsRegistry>, names: &[&str]) {
+    let mut m = metrics.lock().unwrap_or_else(|e| e.into_inner());
+    for name in names {
+        m.inc(name, 1);
+    }
+}
+
+/// Records one latency sample, tallying `serve.latency.overflow` when it
+/// fell outside the histogram range (it still lands, clamped, in the top
+/// bin — but never silently).
+pub(crate) fn record_latency(
+    latencies: &LatencyStore,
+    metrics: &Mutex<MetricsRegistry>,
+    key: SeriesKey,
+    ms: f64,
+) {
+    if latencies.record(key, ms) {
+        bump(metrics, &["serve.latency.overflow"]);
+    }
+}
+
+/// The `serve.*` counters and gauges as two JSON objects, as `status`
+/// bodies and crash reports carry them.
+pub(crate) fn serve_counters_and_gauges(m: &MetricsRegistry) -> (Value, Value) {
+    let serve = |name: &str| name.starts_with("serve.");
+    let counters = m.counters().filter(|(n, _)| serve(n));
+    let gauges = m.gauges().filter(|(n, _)| serve(n));
+    (
+        Value::Object(
+            counters
+                .map(|(n, v)| (n.to_string(), Value::UInt(v)))
+                .collect(),
+        ),
+        Value::Object(
+            gauges
+                .map(|(n, v)| (n.to_string(), Value::Float(v)))
+                .collect(),
+        ),
+    )
+}
+
 /// Maps a dotted metric name onto the Prometheus identifier charset:
 /// every character outside `[a-zA-Z0-9]` becomes `_`
 /// (`serve.cache.hits` → `serve_cache_hits`).
@@ -296,7 +341,7 @@ mod tests {
     fn store_pre_seeds_the_stable_surface_at_zero() {
         let store = LatencyStore::new();
         let snaps = store.snapshot();
-        // 4 kinds × 3 stages + plan-exec hit/miss.
+        // 5 kinds × 4 stages + plan-exec hit/miss.
         assert_eq!(snaps.len(), LATENCY_KINDS.len() * LATENCY_STAGES.len() + 2);
         for (key, snap) in &snaps {
             assert_eq!(snap.count, 0, "{}", key.dotted());
